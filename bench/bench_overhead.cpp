@@ -1,10 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot paths behind the paper's
 // "negligible overhead for token management" claim and for the simulator
-// substrate itself: event queues (binary heap vs timing wheel), stations,
-// the token-report packing, Algorithm 1, and the zipfian sampler — plus
-// the tracing-overhead contract (DESIGN.md §9.2): after the google
-// benchmarks, main() sweeps full experiments over token batch B with the
-// flight recorder on vs off and writes the ratios to BENCH_overhead.json.
+// substrate itself: the event queue, stations, the token-report packing,
+// Algorithm 1, and the zipfian sampler — plus the tracing-overhead
+// contract (DESIGN.md §9.2): after the google benchmarks, main() sweeps
+// full experiments over token batch B with the flight recorder on vs off
+// and writes the ratios to BENCH_overhead.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -24,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "runtime/shared_region.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timing_wheel.hpp"
 #include "stats/histogram.hpp"
 #include "workload/distributions.hpp"
 
@@ -57,13 +56,12 @@ static_assert(TraceArgumentsElided(),
 static_assert(obs::kSpanAssemblyCompiled == (HAECHI_TRACE_ENABLED != 0),
               "kSpanAssemblyCompiled must track HAECHI_TRACE");
 
-// --- event queues -----------------------------------------------------------
+// --- event queue ------------------------------------------------------------
 
-template <typename Queue>
 void BM_EventQueueChurn(benchmark::State& state) {
   // Steady-state churn at a given queue depth: one pop + one push per
   // iteration, times spread over a short horizon (the simulator's regime).
-  Queue queue;
+  sim::BinaryHeapEventQueue queue;
   Rng rng(42);
   const auto depth = static_cast<std::size_t>(state.range(0));
   SimTime now = 0;
@@ -80,14 +78,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, sim::BinaryHeapEventQueue)
-    ->Arg(64)
-    ->Arg(4096)
-    ->Arg(262144);
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, sim::HierarchicalTimingWheel)
-    ->Arg(64)
-    ->Arg(4096)
-    ->Arg(262144);
+BENCHMARK(BM_EventQueueChurn)->Arg(64)->Arg(4096)->Arg(262144);
 
 void BM_SimulatorTimerCascade(benchmark::State& state) {
   // A protocol-like timer mix: the cost of one simulated millisecond with

@@ -1,6 +1,11 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace haechi {
 
@@ -63,36 +68,73 @@ double Rng::NextGaussian(double mean, double stddev) {
 
 Rng Rng::Fork() { return Rng((*this)() ^ 0xa02b'dbf7'bb3c'0a7ULL); }
 
-ZipfianSampler::ZipfianSampler(std::uint64_t n, double theta)
-    : n_(n), theta_(theta), cdf_(n) {
-  HAECHI_EXPECTS(n > 0);
-  HAECHI_EXPECTS(theta >= 0.0);
+std::shared_ptr<const ZipfianSampler::Table> ZipfianSampler::SharedTable(
+    std::uint64_t n, double theta) {
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, double>,
+                  std::weak_ptr<const Table>>
+      cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto key = std::make_pair(n, theta);
+  if (const auto it = cache.find(key); it != cache.end()) {
+    if (auto table = it->second.lock()) return table;
+  }
+  std::erase_if(cache, [](const auto& entry) {
+    return entry.second.expired();
+  });
+
+  auto table = std::make_shared<Table>();
+  table->theta = theta;
+  table->cdf.resize(n);
   double total = 0.0;
   for (std::uint64_t k = 0; k < n; ++k) {
-    total += Weight(k);
-    cdf_[k] = total;
+    total += 1.0 / std::pow(static_cast<double>(k + 1), theta);
+    table->cdf[k] = total;
   }
-  for (auto& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against accumulated rounding
+  for (auto& c : table->cdf) c /= total;
+  table->cdf.back() = 1.0;  // guard against accumulated rounding
+
+  const std::uint64_t buckets = std::bit_ceil(n);
+  table->buckets = static_cast<double>(buckets);
+  table->guide.resize(buckets + 1);
+  std::uint64_t rank = 0;
+  for (std::uint64_t b = 0; b < buckets; ++b) {
+    const double lower = static_cast<double>(b) / table->buckets;
+    while (table->cdf[rank] < lower) ++rank;
+    table->guide[b] = static_cast<std::uint32_t>(rank);
+  }
+  table->guide[buckets] = static_cast<std::uint32_t>(n - 1);
+  cache[key] = table;
+  return table;
+}
+
+ZipfianSampler::ZipfianSampler(std::uint64_t n, double theta) {
+  HAECHI_EXPECTS(n > 0 && n <= std::numeric_limits<std::uint32_t>::max());
+  HAECHI_EXPECTS(theta >= 0.0);
+  table_ = SharedTable(n, theta);
 }
 
 double ZipfianSampler::Weight(std::uint64_t k) const {
-  return 1.0 / std::pow(static_cast<double>(k + 1), theta_);
+  return 1.0 / std::pow(static_cast<double>(k + 1), theta());
 }
 
 double ZipfianSampler::Probability(std::uint64_t k) const {
-  HAECHI_EXPECTS(k < n_);
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  HAECHI_EXPECTS(k < n());
+  const std::vector<double>& cdf = table_->cdf;
+  return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
-std::uint64_t ZipfianSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  // First rank whose CDF covers u.
-  std::uint64_t lo = 0;
-  std::uint64_t hi = n_ - 1;
+std::uint64_t ZipfianSampler::RankAt(double u) const {
+  HAECHI_EXPECTS(u >= 0.0 && u <= 1.0);
+  const Table& table = *table_;
+  auto bucket = static_cast<std::size_t>(u * table.buckets);
+  if (bucket + 1 >= table.guide.size()) bucket = table.guide.size() - 2;
+  // First rank in [guide[b], guide[b+1]] whose CDF covers u.
+  std::uint64_t lo = table.guide[bucket];
+  std::uint64_t hi = table.guide[bucket + 1];
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
+    if (table.cdf[mid] < u) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -111,7 +153,7 @@ std::uint64_t ScrambledZipfianSampler::Fnv1aHash(std::uint64_t v) {
 }
 
 std::uint64_t ScrambledZipfianSampler::Sample(Rng& rng) const {
-  return Fnv1aHash(inner_.Sample(rng)) % n_;
+  return Fnv1aHash(inner_.Sample(rng)) % inner_.n();
 }
 
 }  // namespace haechi

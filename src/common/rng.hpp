@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -70,8 +71,13 @@ class Rng {
 };
 
 /// Samples ranks 0..n-1 with P(rank k) ∝ 1/(k+1)^theta — the zipfian key
-/// popularity used by YCSB. Precomputes the CDF once; sampling is a binary
-/// search (O(log n)).
+/// popularity used by YCSB. The CDF is built once per (n, theta) and shared
+/// by every live sampler with the same parameters (a run's clients all draw
+/// from one table). A guide table maps the bucket ⌊u·G⌋ of a uniform draw
+/// u (G = n rounded up to a power of two) to the first candidate rank, so
+/// a draw binary-searches only the ranks inside its bucket — usually one or
+/// two — and returns exactly the rank a binary search over the whole CDF
+/// would.
 ///
 /// Also usable as the paper's "Zipf reservation distribution": Weight(k)
 /// exposes the unnormalised weights applied to the 5 client groups.
@@ -80,10 +86,14 @@ class ZipfianSampler {
   ZipfianSampler(std::uint64_t n, double theta);
 
   /// Draws one rank in [0, n).
-  std::uint64_t Sample(Rng& rng) const;
+  std::uint64_t Sample(Rng& rng) const { return RankAt(rng.NextDouble()); }
 
-  [[nodiscard]] std::uint64_t n() const { return n_; }
-  [[nodiscard]] double theta() const { return theta_; }
+  /// The rank a uniform draw `u` in [0, 1] selects: the first rank whose
+  /// CDF value is >= u.
+  [[nodiscard]] std::uint64_t RankAt(double u) const;
+
+  [[nodiscard]] std::uint64_t n() const { return table_->cdf.size(); }
+  [[nodiscard]] double theta() const { return table_->theta; }
 
   /// Unnormalised weight of rank k: 1/(k+1)^theta.
   [[nodiscard]] double Weight(std::uint64_t k) const;
@@ -91,18 +101,30 @@ class ZipfianSampler {
   /// Normalised probability of rank k.
   [[nodiscard]] double Probability(std::uint64_t k) const;
 
+  /// cdf()[k] = P(rank <= k); the table this sampler shares.
+  [[nodiscard]] const std::vector<double>& cdf() const { return table_->cdf; }
+
  private:
-  std::uint64_t n_;
-  double theta_;
-  std::vector<double> cdf_;  // cdf_[k] = P(rank <= k)
+  struct Table {
+    double theta;
+    std::vector<double> cdf;  // cdf[k] = P(rank <= k)
+    double buckets;           // G: a power of two >= n
+    // guide[b] = first rank with cdf >= b/G; guide[G] = n-1. Both b/G and
+    // u*G are exact in binary floating point, so a draw u in bucket
+    // ⌊u·G⌋ = b has its answer in [guide[b], guide[b+1]].
+    std::vector<std::uint32_t> guide;
+  };
+  static std::shared_ptr<const Table> SharedTable(std::uint64_t n,
+                                                  double theta);
+
+  std::shared_ptr<const Table> table_;
 };
 
 /// YCSB's "scrambled zipfian": zipfian rank popularity spread across the key
 /// space by a hash, so popular keys are not clustered at low key values.
 class ScrambledZipfianSampler {
  public:
-  ScrambledZipfianSampler(std::uint64_t n, double theta)
-      : inner_(n, theta), n_(n) {}
+  ScrambledZipfianSampler(std::uint64_t n, double theta) : inner_(n, theta) {}
 
   std::uint64_t Sample(Rng& rng) const;
 
@@ -110,7 +132,6 @@ class ScrambledZipfianSampler {
   static std::uint64_t Fnv1aHash(std::uint64_t v);
 
   ZipfianSampler inner_;
-  std::uint64_t n_;
 };
 
 }  // namespace haechi

@@ -614,14 +614,20 @@ ExperimentResult Experiment::Run() {
       for (const obs::IoSpan& span : result_->spans) {
         by_period[span.period].push_back(&span);
       }
+      // Registry histograms are map nodes: look them up once, not per span.
+      stats::Histogram* stage[obs::kSpanStages];
+      for (std::size_t s = 0; s < obs::kSpanStages; ++s) {
+        stage[s] = &metrics_.Histogram(kStageMetric[s]);
+      }
+      stats::Histogram& total = metrics_.Histogram("span.stage.total");
       for (const auto& [period, spans] : by_period) {
-        for (const char* name : kStageMetric) metrics_.Histogram(name).Reset();
-        metrics_.Histogram("span.stage.total").Reset();
+        for (stats::Histogram* histogram : stage) histogram->Reset();
+        total.Reset();
         for (const obs::IoSpan* span : spans) {
           for (std::size_t s = 0; s < obs::kSpanStages; ++s) {
-            metrics_.Record(kStageMetric[s], span->stage_ns[s]);
+            stage[s]->Record(span->stage_ns[s]);
           }
-          metrics_.Record("span.stage.total", span->Total());
+          total.Record(span->Total());
         }
         metrics_.SnapshotHistograms(period, "span.stage.");
       }

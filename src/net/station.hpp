@@ -1,15 +1,13 @@
-// Queueing stations: the timing substrate beneath the simulated RDMA fabric.
+// Queueing station: the timing substrate beneath the simulated RDMA fabric.
 //
 // A station serves work items one at a time from its queue(s); each item
 // carries its own service time (computed by the NIC model from the op size)
-// and a completion callback. Two disciplines are provided:
-//
-//  * SerialStation — single FIFO. Models a client adapter's DMA pipeline.
-//  * FairShareStation — multi-flow station for the data-node adapter (and
-//    the RPC dispatch CPU), serving either in strict arrival order (kFifo,
-//    the RNIC responder behaviour) or round-robin per flow (ablation).
-//    Either way, saturated capacity divides equally among closed-loop
-//    backlogged clients, as the paper observes in Experiment 1C.
+// and a completion callback. FairShareStation models every adapter (each
+// node's out-NIC and in-NIC) and the RPC dispatch CPU, serving either
+// round-robin per flow (the RNIC arbitrating across QPs, the default) or
+// in strict arrival order (kFifo, an ablation). Saturated capacity divides
+// equally among closed-loop backlogged clients, as the paper observes in
+// Experiment 1C.
 //
 // Optional multiplicative jitter perturbs each service time so profiled
 // capacity has a genuine variance (used by Algorithm 1's sigma).
@@ -27,60 +25,12 @@
 
 namespace haechi::net {
 
-/// Distinguishes traffic sources at a FairShareStation. Flows are small
-/// dense integers (client index or background-job index).
+/// Distinguishes traffic sources at a FairShareStation: the initiator's QP
+/// id, so flows are sparse integers in [0, QPs on the fabric).
 using FlowId = std::uint32_t;
 
 /// Invoked when the station finishes serving an item.
 using ServiceDoneFn = std::function<void()>;
-
-namespace detail {
-
-/// Shared jitter helper: scales `service` by U[1-jitter, 1+jitter].
-SimDuration ApplyJitter(SimDuration service, double jitter, Rng& rng);
-
-}  // namespace detail
-
-/// Single-queue, single-server FIFO station.
-class SerialStation {
- public:
-  SerialStation(sim::Simulator& sim, std::string name, double jitter,
-                std::uint64_t seed);
-
-  SerialStation(const SerialStation&) = delete;
-  SerialStation& operator=(const SerialStation&) = delete;
-
-  /// Enqueues an item needing `service_time` ns of service; `done` runs at
-  /// the simulated instant service completes.
-  void Submit(SimDuration service_time, ServiceDoneFn done);
-
-  [[nodiscard]] std::size_t QueueDepth() const { return queue_.size(); }
-  [[nodiscard]] bool Busy() const { return busy_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Total items served since construction.
-  [[nodiscard]] std::uint64_t Served() const { return served_; }
-
-  /// Cumulative busy time, for utilisation accounting.
-  [[nodiscard]] SimDuration BusyTime() const { return busy_time_; }
-
- private:
-  struct Item {
-    SimDuration service;
-    ServiceDoneFn done;
-  };
-
-  void StartNext();
-
-  sim::Simulator& sim_;
-  std::string name_;
-  double jitter_;
-  Rng rng_;
-  std::deque<Item> queue_;
-  bool busy_ = false;
-  std::uint64_t served_ = 0;
-  SimDuration busy_time_ = 0;
-};
 
 /// How a multi-flow station orders bulk service.
 ///
@@ -134,8 +84,19 @@ class FairShareStation {
   };
 
   void StartNext();
-  /// Index of the next non-empty flow, or flows_.size() if none.
+  /// The completion event of in_service_.
+  void FinishService();
+  /// Index of the next non-empty flow at or after cursor_, wrapping
+  /// around — the same flow a linear scan from cursor_ would find.
   [[nodiscard]] std::size_t FindNextActive() const;
+  void SetActive(std::size_t flow, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (flow % 64);
+    if (on) {
+      active_[flow / 64] |= bit;
+    } else {
+      active_[flow / 64] &= ~bit;
+    }
+  }
 
   sim::Simulator& sim_;
   std::string name_;
@@ -145,8 +106,10 @@ class FairShareStation {
   std::deque<Item> control_;             // fast-path lane (both disciplines)
   std::deque<Item> fifo_;                // kFifo: one arrival-ordered queue
   std::vector<std::deque<Item>> flows_;  // kRoundRobin: per-flow queues
+  std::vector<std::uint64_t> active_;    // kRoundRobin: non-empty flows_ bits
   std::vector<std::size_t> fifo_depths_; // kFifo: per-flow depth accounting
   std::size_t cursor_ = 0;               // round-robin position (flow index)
+  Item in_service_;                      // valid while busy_
   std::size_t queued_ = 0;
   bool busy_ = false;
   std::uint64_t served_ = 0;

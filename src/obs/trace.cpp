@@ -218,47 +218,102 @@ void Recorder::SetTap(std::function<void(const TraceEvent&)> tap) {
   }
 }
 
+void Recorder::AppendActorEvents(const Ring& ring,
+                                 std::vector<TraceEvent>& out) {
+  if (ring.appended <= ring.buf.size()) {
+    out.insert(out.end(), ring.buf.begin(), ring.buf.end());
+  } else {
+    // The ring wrapped: the oldest retained event sits right after the
+    // write cursor.
+    const auto cursor = static_cast<std::ptrdiff_t>(ring.appended %
+                                                    ring.buf.size());
+    out.insert(out.end(), ring.buf.begin() + cursor, ring.buf.end());
+    out.insert(out.end(), ring.buf.begin(), ring.buf.begin() + cursor);
+  }
+}
+
 std::vector<TraceEvent> Recorder::ActorEvents(ActorKind kind,
                                               std::uint32_t actor) const {
   const auto& per_kind = rings_[static_cast<std::size_t>(kind)];
   if (actor >= per_kind.size()) return {};
-  const Ring& ring = per_kind[actor];
   std::vector<TraceEvent> out;
-  out.reserve(ring.buf.size());
-  if (ring.appended <= ring.buf.size()) {
-    out = ring.buf;
-  } else {
-    // The ring wrapped: the oldest retained event sits right after the
-    // write cursor.
-    const std::size_t cursor = ring.appended % ring.buf.size();
-    out.insert(out.end(), ring.buf.begin() + static_cast<std::ptrdiff_t>(cursor),
-               ring.buf.end());
-    out.insert(out.end(), ring.buf.begin(),
-               ring.buf.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
+  out.reserve(per_kind[actor].buf.size());
+  AppendActorEvents(per_kind[actor], out);
   return out;
 }
 
 std::vector<TraceEvent> Recorder::Merged() const {
-  std::vector<TraceEvent> out;
-  for (std::size_t kind = 0; kind < kActorKinds; ++kind) {
-    for (std::uint32_t actor = 0; actor < rings_[kind].size(); ++actor) {
-      const auto events =
-          ActorEvents(static_cast<ActorKind>(kind), actor);
-      out.insert(out.end(), events.begin(), events.end());
+  // Deterministic global order; the tiebreak on (kind, actor, seq) is total,
+  // so both paths below yield the same sequence.
+  const auto earlier = [](const TraceEvent& x, const TraceEvent& y) {
+    if (x.time != y.time) return x.time < y.time;
+    if (x.actor_kind != y.actor_kind) return x.actor_kind < y.actor_kind;
+    if (x.actor != y.actor) return x.actor < y.actor;
+    return x.seq < y.seq;
+  };
+  // Each actor's retained events, oldest first: one or (wrapped) two
+  // contiguous segments of its ring.
+  struct Run {
+    const TraceEvent* next;
+    const TraceEvent* end;
+    const TraceEvent* wrap_begin;  // second segment, or nullptr
+    const TraceEvent* wrap_end;
+  };
+  std::vector<Run> runs;
+  std::size_t total = 0;
+  for (const auto& per_kind : rings_) {
+    for (const Ring& ring : per_kind) {
+      if (ring.buf.empty()) continue;
+      const TraceEvent* data = ring.buf.data();
+      const std::size_t size = ring.buf.size();
+      if (ring.appended <= size) {
+        runs.push_back({data, data + size, nullptr, nullptr});
+      } else {
+        const std::size_t cursor = ring.appended % size;
+        runs.push_back({data + cursor, data + size, data, data + cursor});
+      }
+      total += size;
     }
   }
-  // Deterministic global order: per-actor streams are already seq-ordered,
-  // and the tiebreak on (kind, actor, seq) is total.
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& x, const TraceEvent& y) {
-              if (x.time != y.time) return x.time < y.time;
-              if (x.actor_kind != y.actor_kind) {
-                return x.actor_kind < y.actor_kind;
-              }
-              if (x.actor != y.actor) return x.actor < y.actor;
-              return x.seq < y.seq;
-            });
+  std::vector<TraceEvent> out;
+  out.reserve(total);
+
+  // Simulator streams are time-ordered per actor, so the global order is a
+  // k-way merge: one pass, log2(actors) comparisons per event.
+  const auto later = [&](std::size_t x, std::size_t y) {
+    return earlier(*runs[y].next, *runs[x].next);
+  };
+  std::vector<std::size_t> heap(runs.size());
+  for (std::size_t i = 0; i < heap.size(); ++i) heap[i] = i;
+  std::make_heap(heap.begin(), heap.end(), later);
+  bool runs_sorted = true;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Run& run = runs[heap.back()];
+    out.push_back(*run.next++);
+    if (run.next == run.end && run.wrap_begin != nullptr) {
+      run.next = run.wrap_begin;
+      run.end = run.wrap_end;
+      run.wrap_begin = nullptr;
+    }
+    if (run.next == run.end) {
+      heap.pop_back();
+    } else if (earlier(*run.next, out.back())) {
+      runs_sorted = false;
+      break;
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  if (!runs_sorted) {
+    // A stream with a backdated stamp (the threaded harness's EmitAt):
+    // fall back to a comparison sort of everything.
+    out.clear();
+    for (const auto& per_kind : rings_) {
+      for (const Ring& ring : per_kind) AppendActorEvents(ring, out);
+    }
+    std::sort(out.begin(), out.end(), earlier);
+  }
   return out;
 }
 

@@ -286,6 +286,9 @@ class Recorder {
   using TapFn = std::function<void(const TraceEvent&)>;
 
   Ring& RingFor(ActorKind kind, std::uint32_t actor);
+  /// Appends `ring`'s retained events to `out`, oldest first.
+  static void AppendActorEvents(const Ring& ring,
+                                std::vector<TraceEvent>& out);
   void RunTap(const TraceEvent& event);
 
   sim::Simulator* sim_ = nullptr;  // stamps Emit when no clock_ is set

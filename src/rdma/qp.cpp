@@ -43,7 +43,7 @@ Status QueuePair::PostRead(std::uint64_t wr_id, std::span<std::byte> local,
   if (mr == nullptr || !mr->Allows(access::kLocalWrite)) {
     return ErrPermissionDenied("READ destination not in a writable local MR");
   }
-  auto op = std::make_unique<Fabric::OpState>();
+  auto op = std::make_shared<Fabric::OpState>();
   op->opcode = Opcode::kRead;
   op->wr_id = wr_id;
   op->src = this;
@@ -66,7 +66,7 @@ Status QueuePair::PostWrite(std::uint64_t wr_id,
   if (mr == nullptr || !mr->Allows(access::kLocalRead)) {
     return ErrPermissionDenied("WRITE source not in a readable local MR");
   }
-  auto op = std::make_unique<Fabric::OpState>();
+  auto op = std::make_shared<Fabric::OpState>();
   op->opcode = Opcode::kWrite;
   op->wr_id = wr_id;
   op->src = this;
@@ -88,7 +88,7 @@ Status QueuePair::PostWrite(std::uint64_t wr_id,
 Status QueuePair::PostFetchAdd(std::uint64_t wr_id, RemoteAddr remote_addr,
                                std::uint32_t rkey, std::int64_t delta) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
-  auto op = std::make_unique<Fabric::OpState>();
+  auto op = std::make_shared<Fabric::OpState>();
   op->opcode = Opcode::kFetchAdd;
   op->wr_id = wr_id;
   op->src = this;
@@ -106,7 +106,7 @@ Status QueuePair::PostCompareSwap(std::uint64_t wr_id, RemoteAddr remote_addr,
                                   std::uint32_t rkey, std::uint64_t expected,
                                   std::uint64_t desired) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
-  auto op = std::make_unique<Fabric::OpState>();
+  auto op = std::make_shared<Fabric::OpState>();
   op->opcode = Opcode::kCompareSwap;
   op->wr_id = wr_id;
   op->src = this;
@@ -126,7 +126,7 @@ Status QueuePair::PostSend(std::uint64_t wr_id,
                            ServiceClass service_class) {
   if (auto s = CheckConnectedAndCapacity(); !s.ok()) return s;
   if (payload.empty()) return ErrInvalidArgument("zero-length SEND");
-  auto op = std::make_unique<Fabric::OpState>();
+  auto op = std::make_shared<Fabric::OpState>();
   op->opcode = Opcode::kSend;
   op->wr_id = wr_id;
   op->src = this;

@@ -1,16 +1,11 @@
-// Priority queues of timestamped events.
+// The simulator's priority queue of timestamped events.
 //
-// Two interchangeable implementations are provided:
-//  * BinaryHeapEventQueue — vector-based binary heap, the default;
-//  * HierarchicalTimingWheel (timing_wheel.hpp) — O(1) amortised insert/pop
-//    for the dense short-horizon timers this simulator generates.
-// Both deliver events in (time, insertion-sequence) order so simulation
-// results are identical regardless of the queue chosen.
+// Events are delivered in (time, insertion-sequence) order, which is what
+// makes every run with the same seed replay bit-for-bit.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,68 +27,70 @@ struct Event {
   EventFn fn;
 };
 
-/// Interface shared by the queue implementations. Not thread-safe: the
-/// simulation is single-threaded by design (see DESIGN.md §1).
-class EventQueue {
+/// Event queue ordered by (time, id). Not thread-safe: the simulation is
+/// single-threaded by design (see DESIGN.md §1).
+///
+/// Layout: the heap is 4-ary and holds 24-byte {time, id, slot} records;
+/// callbacks live in a slot table (recycled through a free list) and are
+/// touched only on Schedule and PopNext, never while sifting. Sifts move a
+/// hole instead of swapping. Cancellation is lazy: Cancel marks the id
+/// done in a one-bit-per-event table (exact semantics, O(1)) and the
+/// record — with its callback slot — is discarded when it reaches the top.
+class BinaryHeapEventQueue {
  public:
-  virtual ~EventQueue() = default;
-
   /// Enqueues `fn` to fire at absolute time `time`.
-  virtual EventId Schedule(SimTime time, EventFn fn) = 0;
+  EventId Schedule(SimTime time, EventFn fn);
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed.
-  virtual bool Cancel(EventId id) = 0;
+  bool Cancel(EventId id);
 
   /// Removes and returns the earliest pending event, skipping cancelled
   /// entries. Returns an Event with id == kInvalidEventId when empty.
-  virtual Event PopNext() = 0;
+  Event PopNext();
 
   /// Earliest pending time, or kSimTimeMax when empty.
-  [[nodiscard]] virtual SimTime PeekTime() = 0;
+  [[nodiscard]] SimTime PeekTime() {
+    DropCancelledTop();
+    return heap_.empty() ? kSimTimeMax : heap_.front().time;
+  }
 
-  [[nodiscard]] virtual bool Empty() const = 0;
+  [[nodiscard]] bool Empty() const { return live_ == 0; }
 
   /// Number of live (non-cancelled, non-fired) events.
-  [[nodiscard]] virtual std::size_t Size() const = 0;
-};
-
-/// Binary-heap event queue ordered by (time, id). Cancellation is lazy:
-/// cancelled entries are dropped when they reach the top, keeping Cancel
-/// O(1). A one-bit-per-event table gives Cancel exact semantics (it can tell
-/// fired ids from pending ones without scanning the heap).
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  EventId Schedule(SimTime time, EventFn fn) override;
-  bool Cancel(EventId id) override;
-  Event PopNext() override;
-  [[nodiscard]] SimTime PeekTime() override;
-  [[nodiscard]] bool Empty() const override { return live_ == 0; }
-  [[nodiscard]] std::size_t Size() const override { return live_; }
+  [[nodiscard]] std::size_t Size() const { return live_; }
 
  private:
-  // Hand-rolled heap (rather than std::priority_queue) so the callback can
-  // be moved out of the popped element instead of copied from a const top().
+  static constexpr std::size_t kArity = 4;
+
   struct Entry {
     SimTime time;
     EventId id;
-    EventFn fn;
+    std::uint32_t slot;  // index into fns_
   };
+  static_assert(sizeof(Entry) == 24);
   static bool EarlierThan(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;
   }
 
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
+  /// Places `entry` at or above hole `i`.
+  void SiftUp(std::size_t i, Entry entry);
+  /// Places `entry` at or below hole `i`.
+  void SiftDown(std::size_t i, Entry entry);
+  /// Removes the top record; the caller takes care of its callback slot.
+  void RemoveTop();
   void DropCancelledTop();
+  void ReleaseSlot(std::uint32_t slot) { free_slots_.push_back(slot); }
   [[nodiscard]] bool IsDone(EventId id) const {
     return done_[static_cast<std::size_t>(id - 1)];
   }
   void MarkDone(EventId id) { done_[static_cast<std::size_t>(id - 1)] = true; }
 
   std::vector<Entry> heap_;
-  std::vector<bool> done_;  // indexed by id-1: fired or cancelled
+  std::vector<EventFn> fns_;               // callback slot table
+  std::vector<std::uint32_t> free_slots_;  // recycled fns_ indices
+  std::vector<bool> done_;                 // indexed by id-1: fired/cancelled
   EventId next_id_ = 1;
   std::size_t live_ = 0;
 };

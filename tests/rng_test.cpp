@@ -134,6 +134,88 @@ TEST(Zipfian, PaperGroupWeights) {
   EXPECT_NEAR(zipf.Weight(0) / total, 0.334, 0.001);
 }
 
+/// The first rank whose CDF covers u, by binary search over the whole CDF
+/// — the reference the guide-table lookup must reproduce exactly.
+std::uint64_t ReferenceRank(const std::vector<double>& cdf, double u) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(Zipfian, GuideTableMatchesFullBinarySearch) {
+  // The workloads' key space (16384 records, theta 0.99) for a million
+  // draws, then shapes with plateaus (theta 40 underflows the tail weights
+  // to zero), a heavy head, a non-power-of-two n and n = 1.
+  struct Shape {
+    std::uint64_t n;
+    double theta;
+    int draws;
+  };
+  for (const Shape shape : {Shape{16384, 0.99, 1'000'000},
+                            Shape{1000, 0.6, 100'000},
+                            Shape{1000, 40.0, 100'000},
+                            Shape{100'000, 3.0, 100'000},
+                            Shape{7, 0.0, 10'000}, Shape{1, 0.99, 1'000}}) {
+    const ZipfianSampler zipf(shape.n, shape.theta);
+    Rng draws(shape.n);
+    Rng samples(shape.n);
+    for (int i = 0; i < shape.draws; ++i) {
+      const double u = draws.NextDouble();
+      const std::uint64_t expected = ReferenceRank(zipf.cdf(), u);
+      ASSERT_EQ(zipf.RankAt(u), expected)
+          << "n " << shape.n << " theta " << shape.theta << " u " << u;
+      ASSERT_EQ(zipf.Sample(samples), expected);
+    }
+  }
+}
+
+TEST(Zipfian, GuideTableMatchesAtEdgeDraws) {
+  for (const double theta : {0.0, 0.6, 0.99, 40.0}) {
+    for (const std::uint64_t n : {1ULL, 5ULL, 1000ULL, 1024ULL, 1025ULL}) {
+      const ZipfianSampler zipf(n, theta);
+      const std::vector<double>& cdf = zipf.cdf();
+      std::vector<double> edges = {0.0, std::nextafter(1.0, 0.0), 1.0};
+      // Every CDF entry and its floating-point neighbours.
+      for (const double c : cdf) {
+        edges.push_back(c);
+        edges.push_back(std::nextafter(c, 0.0));
+        edges.push_back(std::nextafter(c, 2.0));
+      }
+      // Guide-bucket boundaries b/G (G = 2048 covers every n above) and
+      // their neighbours.
+      for (int b = 0; b <= 2048; ++b) {
+        const double boundary = b / 2048.0;
+        edges.push_back(boundary);
+        edges.push_back(std::nextafter(boundary, 0.0));
+        edges.push_back(std::nextafter(boundary, 2.0));
+      }
+      for (const double u : edges) {
+        if (u < 0.0 || u > 1.0) continue;
+        ASSERT_EQ(zipf.RankAt(u), ReferenceRank(cdf, u))
+            << "n " << n << " theta " << theta << " u " << u;
+      }
+    }
+  }
+}
+
+TEST(Zipfian, SamplersWithEqualParametersShareOneTable) {
+  const ZipfianSampler a(4096, 0.99);
+  const ZipfianSampler b(4096, 0.99);
+  const ZipfianSampler other_theta(4096, 0.5);
+  const ZipfianSampler other_n(4097, 0.99);
+  EXPECT_EQ(&a.cdf(), &b.cdf());
+  EXPECT_NE(&a.cdf(), &other_theta.cdf());
+  EXPECT_NE(&a.cdf(), &other_n.cdf());
+}
+
 TEST(ScrambledZipfian, SpreadsHotKeys) {
   constexpr std::uint64_t kN = 1000;
   ScrambledZipfianSampler zipf(kN, 0.99);

@@ -1,14 +1,20 @@
-// Unit tests for the discrete-event core: Simulator, BinaryHeapEventQueue,
-// HierarchicalTimingWheel, and PeriodicTimer — including a property sweep
-// asserting both queue implementations deliver identical event orderings.
+// Unit tests for the discrete-event core: Simulator, BinaryHeapEventQueue
+// and PeriodicTimer — including property sweeps asserting the heap delivers
+// the identical event ordering as HierarchicalTimingWheel, the independent
+// oracle implementation kept in tests/timing_wheel.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timing_wheel.hpp"
+#include "timing_wheel.hpp"
 
 namespace haechi::sim {
 namespace {
@@ -279,16 +285,45 @@ TEST(TimingWheel, StressManyTimescales) {
   EXPECT_TRUE(wheel.Empty());
 }
 
+// Simulator's event loop over the timing wheel: the oracle arm of the
+// equivalence tests below (Simulator itself always runs on the heap).
+class WheelSimulator {
+ public:
+  [[nodiscard]] SimTime Now() const { return now_; }
+  EventId ScheduleAt(SimTime time, EventFn fn) {
+    return wheel_.Schedule(time < now_ ? now_ : time, std::move(fn));
+  }
+  EventId ScheduleAfter(SimDuration delay, EventFn fn) {
+    return wheel_.Schedule(now_ + delay, std::move(fn));
+  }
+  bool Cancel(EventId id) { return wheel_.Cancel(id); }
+  std::uint64_t RunUntil(SimTime deadline) {
+    std::uint64_t ran = 0;
+    while (wheel_.PeekTime() <= deadline) {
+      Event event = wheel_.PopNext();
+      now_ = event.time;
+      event.fn();
+      ++ran;
+    }
+    if (now_ < deadline) now_ = deadline;
+    return ran;
+  }
+
+ private:
+  HierarchicalTimingWheel wheel_;
+  SimTime now_ = 0;
+};
+
 TEST(SimulatorWithWheel, ProducesSameResultsAsHeap) {
-  // A miniature "protocol": timers plus event chains; final state must be
-  // identical under both queue kinds.
-  auto run = [](QueueKind kind) {
-    Simulator sim(kind);
+  // A miniature "protocol": a 1 ms self-rearming timer plus event chains;
+  // final state must be identical on the heap and on the wheel.
+  auto run = [](auto& sim) {
     std::uint64_t checksum = 0;
-    PeriodicTimer timer(sim, Millis(1), [&] {
+    std::function<void()> tick = [&] {
+      sim.ScheduleAfter(Millis(1), tick);  // rearm first, as PeriodicTimer
       checksum = checksum * 31 + static_cast<std::uint64_t>(sim.Now());
-    });
-    timer.Start();
+    };
+    sim.ScheduleAfter(Millis(1), tick);
     for (int i = 0; i < 100; ++i) {
       sim.ScheduleAt(i * Micros(37), [&sim, &checksum] {
         checksum ^= static_cast<std::uint64_t>(sim.Now());
@@ -298,16 +333,21 @@ TEST(SimulatorWithWheel, ProducesSameResultsAsHeap) {
     sim.RunUntil(Millis(20));
     return checksum;
   };
-  EXPECT_EQ(run(QueueKind::kBinaryHeap), run(QueueKind::kTimingWheel));
+  Simulator heap;
+  WheelSimulator wheel;
+  EXPECT_EQ(run(heap), run(wheel));
 }
 
 // Randomized cancel/reschedule fuzz: callbacks executing inside RunUntil
 // cancel other pending events (some already fired, some self-cancelled
-// twice) and reschedule replacements, across both queue kinds. The fired
-// sequence (tag, time) and the cancellation outcomes must be identical
-// under kBinaryHeap and kTimingWheel for every seed — this pins the
-// Cancel-while-draining semantics the timing wheel's lazy deletion must
-// reproduce exactly.
+// twice) and reschedule replacements. The fired sequence (tag, time) and
+// the cancellation outcomes must be identical on the heap and the wheel
+// for every seed — this pins the Cancel-while-draining semantics of both
+// queues' lazy deletion. A slice of the events is parked far in the future
+// and most of those are cancelled early, so cancelled heap records stay
+// buried for the whole run while the callback slots of fired events are
+// recycled around them: no cancelled tag may ever fire, no tag may fire
+// twice, and every callback (and its captures) must be released.
 TEST(SimulatorWithWheel, CancelRescheduleFuzzMatchesHeap) {
   struct RunLog {
     std::vector<std::pair<int, SimTime>> fired;
@@ -318,55 +358,118 @@ TEST(SimulatorWithWheel, CancelRescheduleFuzzMatchesHeap) {
     bool operator==(const RunLog&) const = default;
   };
 
-  auto run = [](QueueKind kind, std::uint64_t seed) {
+  auto run = [](auto& sim, std::uint64_t seed) {
     Rng rng(seed);
-    Simulator sim(kind);
     RunLog log;
     std::vector<EventId> pending;
+    std::unordered_map<EventId, int> tag_of;
+    std::set<int> cancelled;
+    std::set<int> fired;
     int next_tag = 0;
+    const auto captures = std::make_shared<int>(0);
 
+    std::function<void(int)> fire;
+    const auto schedule = [&](SimTime at) {
+      const int t = next_tag++;
+      const EventId id =
+          sim.ScheduleAt(at, [&fire, t, captures] { fire(t); });
+      pending.push_back(id);
+      tag_of[id] = t;
+    };
     // Recursive-ish scheduling: each event logs itself and then, driven by
     // the shared deterministic Rng, cancels a random pending event and/or
     // schedules a replacement at a random offset.
-    std::function<void(int)> fire = [&](int tag) {
+    fire = [&](int tag) {
+      EXPECT_FALSE(cancelled.contains(tag)) << "cancelled tag " << tag;
+      EXPECT_TRUE(fired.insert(tag).second) << "tag " << tag << " twice";
       log.fired.emplace_back(tag, sim.Now());
       const std::uint64_t roll = rng() % 100;
       if (roll < 45 && !pending.empty()) {
         const EventId victim = pending[rng() % pending.size()];
         if (sim.Cancel(victim)) {
           ++log.cancel_hits;
+          cancelled.insert(tag_of.at(victim));
         } else {
           ++log.cancel_misses;  // stale id: fired or doubly cancelled
         }
       }
       if (roll < 80) {
-        const int t = next_tag++;
-        pending.push_back(sim.ScheduleAfter(
-            static_cast<SimDuration>(rng() % Micros(500)),
-            [&fire, t] { fire(t); }));
+        schedule(sim.Now() + static_cast<SimDuration>(rng() % Micros(500)));
       }
     };
 
     for (int i = 0; i < 64; ++i) {
-      const int t = next_tag++;
-      pending.push_back(sim.ScheduleAt(
-          static_cast<SimTime>(rng() % Millis(5)), [&fire, t] { fire(t); }));
+      schedule(static_cast<SimTime>(rng() % Millis(5)));
+    }
+    // Far past the run's horizon: these records outlive every slot reuse.
+    std::vector<EventId> parked;
+    for (int i = 0; i < 32; ++i) {
+      schedule(Seconds(1) + static_cast<SimTime>(rng() % Millis(5)));
+      parked.push_back(pending.back());
+    }
+    for (std::size_t i = 0; i < parked.size(); i += 4) {
+      for (std::size_t k = i; k < i + 3; ++k) {
+        EXPECT_TRUE(sim.Cancel(parked[k]));
+        cancelled.insert(tag_of.at(parked[k]));
+      }
     }
     log.events_run = sim.RunUntil(Millis(50));
-    return log;
+    EXPECT_GT(captures.use_count(), 1);  // live callbacks still hold it
+    return std::make_pair(log, std::weak_ptr<int>(captures));
   };
 
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const RunLog heap = run(QueueKind::kBinaryHeap, seed);
-    const RunLog wheel = run(QueueKind::kTimingWheel, seed);
-    EXPECT_EQ(heap, wheel) << "queue kinds diverged at seed " << seed
+    std::weak_ptr<int> heap_captures;
+    std::weak_ptr<int> wheel_captures;
+    RunLog heap;
+    RunLog wheel;
+    {
+      Simulator sim;
+      std::tie(heap, heap_captures) = run(sim, seed);
+    }
+    {
+      WheelSimulator sim;
+      std::tie(wheel, wheel_captures) = run(sim, seed);
+    }
+    EXPECT_EQ(heap, wheel) << "queues diverged at seed " << seed
                            << " (heap fired " << heap.fired.size()
                            << ", wheel fired " << wheel.fired.size() << ")";
     EXPECT_GT(heap.cancel_hits, 0u) << "fuzz never cancelled (seed " << seed
                                     << ")";
     EXPECT_GT(heap.cancel_misses, 0u)
         << "fuzz never raced a fired event (seed " << seed << ")";
+    // Destroying the queue released every callback, cancelled or pending.
+    EXPECT_TRUE(heap_captures.expired()) << "seed " << seed;
+    EXPECT_TRUE(wheel_captures.expired()) << "seed " << seed;
   }
+}
+
+// Slot reuse around a buried cancelled record: the cancelled event's
+// callback is never run, even after its slot-table neighbours have been
+// recycled many times, and its captures are released once it surfaces.
+TEST(EventQueueSlots, CancelledRecordNeverRunsARecycledCallback) {
+  BinaryHeapEventQueue queue;
+  int wrong = 0;
+  const auto witness = std::make_shared<int>(0);
+  const EventId buried =
+      queue.Schedule(Seconds(1), [&wrong, witness] { ++wrong; });
+  ASSERT_TRUE(queue.Cancel(buried));
+  std::vector<int> order;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const int tag = round * 3 + i;
+      queue.Schedule(round * 10 + i, [&order, tag] { order.push_back(tag); });
+    }
+    for (int i = 0; i < 3; ++i) queue.PopNext().fn();
+  }
+  EXPECT_EQ(order.size(), 150u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(witness.use_count(), 2);  // still buried, not yet discarded
+  EXPECT_TRUE(queue.Empty());
+  EXPECT_EQ(queue.PopNext().id, kInvalidEventId);
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(witness.use_count(), 1);  // surfaced and dropped
+  EXPECT_FALSE(queue.Cancel(buried));
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
-// Unit tests for the queueing stations: service rates, FIFO vs round-robin
-// disciplines, the control-priority fast path, and jitter bounds.
+// Unit tests for the queueing station: FIFO vs round-robin disciplines,
+// the control-priority fast path, and a property test pinning the bitmap
+// round-robin arbiter to a naive linear-scan reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 #include "net/model_params.hpp"
 #include "net/station.hpp"
@@ -10,76 +17,6 @@
 
 namespace haechi::net {
 namespace {
-
-TEST(SerialStation, ServesAtConfiguredRate) {
-  sim::Simulator sim;
-  SerialStation station(sim, "nic", /*jitter=*/0.0, /*seed=*/1);
-  int done = 0;
-  for (int i = 0; i < 100; ++i) {
-    station.Submit(1000, [&] { ++done; });
-  }
-  sim.RunUntil(50'000);
-  EXPECT_EQ(done, 50);
-  sim.Run();
-  EXPECT_EQ(done, 100);
-  EXPECT_EQ(station.Served(), 100u);
-  EXPECT_EQ(station.BusyTime(), 100'000);
-}
-
-TEST(SerialStation, FifoOrder) {
-  sim::Simulator sim;
-  SerialStation station(sim, "nic", 0.0, 1);
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    station.Submit(10, [&order, i] { order.push_back(i); });
-  }
-  sim.Run();
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-}
-
-TEST(SerialStation, IdleThenBusy) {
-  sim::Simulator sim;
-  SerialStation station(sim, "nic", 0.0, 1);
-  EXPECT_FALSE(station.Busy());
-  station.Submit(10, [] {});
-  EXPECT_TRUE(station.Busy());
-  sim.Run();
-  EXPECT_FALSE(station.Busy());
-  EXPECT_EQ(station.QueueDepth(), 0u);
-}
-
-TEST(SerialStation, CompletionCanResubmit) {
-  sim::Simulator sim;
-  SerialStation station(sim, "nic", 0.0, 1);
-  int chain = 0;
-  std::function<void()> resubmit = [&] {
-    if (++chain < 5) station.Submit(7, resubmit);
-  };
-  station.Submit(7, resubmit);
-  sim.Run();
-  EXPECT_EQ(chain, 5);
-  EXPECT_EQ(sim.Now(), 5 * 7);
-}
-
-TEST(SerialStation, JitterStaysWithinBounds) {
-  sim::Simulator sim;
-  SerialStation station(sim, "nic", /*jitter=*/0.1, /*seed=*/3);
-  std::vector<SimTime> completions;
-  SimTime last = 0;
-  for (int i = 0; i < 1000; ++i) {
-    station.Submit(1000, [&] {
-      completions.push_back(sim.Now() - last);
-      last = sim.Now();
-    });
-  }
-  sim.Run();
-  for (const SimTime service : completions) {
-    EXPECT_GE(service, 900);
-    EXPECT_LE(service, 1100);
-  }
-  // Mean close to nominal.
-  EXPECT_NEAR(static_cast<double>(sim.Now()) / 1000.0, 1000.0, 10.0);
-}
 
 TEST(FairShareStation, RoundRobinSharesEqually) {
   sim::Simulator sim;
@@ -171,6 +108,135 @@ TEST(FairShareStation, WorkConservingAcrossFlows) {
   sim.Run();
   EXPECT_EQ(sim.Now(), 110 * 100);
   EXPECT_EQ(station.BusyTime(), 110 * 100);
+}
+
+// The round-robin arbiter as first written: per-flow FIFOs indexed by
+// flow id, and a linear scan from the cursor (modulo the flow count) for
+// the next non-empty flow. FairShareStation must serve in exactly this
+// order.
+class ReferenceStation {
+ public:
+  explicit ReferenceStation(sim::Simulator& sim) : sim_(sim) {}
+
+  void Submit(FlowId flow, SimDuration service, std::function<void()> done,
+              Priority priority) {
+    if (priority == Priority::kControl) {
+      control_.push_back(Item{service, std::move(done)});
+    } else {
+      if (flow >= flows_.size()) flows_.resize(flow + 1);
+      flows_[flow].push_back(Item{service, std::move(done)});
+    }
+    ++queued_;
+    if (!busy_) StartNext();
+  }
+
+ private:
+  struct Item {
+    SimDuration service = 0;
+    std::function<void()> done;
+  };
+
+  void StartNext() {
+    if (queued_ == 0) return;
+    busy_ = true;
+    Item item;
+    if (!control_.empty()) {
+      item = std::move(control_.front());
+      control_.pop_front();
+    } else {
+      const std::size_t n = flows_.size();
+      std::size_t idx = n;
+      for (std::size_t step = 0; step < n; ++step) {
+        if (!flows_[(cursor_ + step) % n].empty()) {
+          idx = (cursor_ + step) % n;
+          break;
+        }
+      }
+      ASSERT_LT(idx, n);
+      item = std::move(flows_[idx].front());
+      flows_[idx].pop_front();
+      cursor_ = (idx + 1) % n;
+    }
+    --queued_;
+    sim_.ScheduleAfter(item.service, [this, done = std::move(item.done)] {
+      busy_ = false;
+      StartNext();
+      done();
+    });
+  }
+
+  sim::Simulator& sim_;
+  std::deque<Item> control_;
+  std::vector<std::deque<Item>> flows_;
+  std::size_t cursor_ = 0;
+  std::size_t queued_ = 0;
+  bool busy_ = false;
+};
+
+/// Drives `station` with a seeded script: bursts of bulk items on sparse
+/// flow ids spanning several 64-bit words (new, higher ids keep appearing
+/// as the run goes, so the flow count grows under the cursor), a share of
+/// control-lane items, and completions that resubmit. Returns the
+/// (tag, completion time) log.
+template <typename Station>
+std::vector<std::pair<int, SimTime>> DriveStation(sim::Simulator& sim,
+                                                  Station& station,
+                                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FlowId> flow_ids;
+  for (int i = 0; i < 10; ++i) {
+    flow_ids.push_back(static_cast<FlowId>(rng.NextBelow(330)));
+  }
+  // Word-boundary ids, arriving late.
+  for (const FlowId edge : {63u, 64u, 127u, 128u, 191u, 192u, 255u, 256u}) {
+    if (rng.NextBelow(2) == 0) flow_ids.push_back(edge);
+  }
+  std::vector<std::pair<int, SimTime>> log;
+  int next_tag = 0;
+  std::function<void(FlowId)> submit = [&](FlowId flow) {
+    const int tag = next_tag++;
+    const auto service = static_cast<SimDuration>(50 + rng.NextBelow(450));
+    const Priority priority =
+        rng.NextBelow(100) < 15 ? Priority::kControl : Priority::kBulk;
+    station.Submit(
+        flow, service,
+        [&, tag, flow] {
+          log.emplace_back(tag, sim.Now());
+          const std::uint64_t roll = rng.NextBelow(100);
+          if (roll < 25) {
+            submit(flow);
+          } else if (roll < 35 && next_tag < 4000) {
+            submit(flow_ids[rng.NextBelow(flow_ids.size())]);
+          }
+        },
+        priority);
+  };
+  for (int i = 0; i < 600; ++i) {
+    // Flows are introduced in list order: later (often higher) ids join
+    // an arbiter that is already cycling.
+    const std::size_t reach = std::min<std::size_t>(
+        flow_ids.size(), 1 + static_cast<std::size_t>(i) / 40);
+    const FlowId flow = flow_ids[rng.NextBelow(reach)];
+    sim.ScheduleAt(static_cast<SimTime>(rng.NextBelow(Micros(150))),
+                   [&submit, flow] { submit(flow); });
+  }
+  sim.Run();
+  return log;
+}
+
+TEST(FairShareStation, RoundRobinMatchesLinearScanReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Simulator sim_a;
+    FairShareStation station(sim_a, "srv", 0.0, 1, Discipline::kRoundRobin);
+    const auto got = DriveStation(sim_a, station, seed);
+    sim::Simulator sim_b;
+    ReferenceStation reference(sim_b);
+    const auto want = DriveStation(sim_b, reference, seed);
+    ASSERT_GT(got.size(), 600u);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(station.QueueDepth(), 0u);
+    EXPECT_EQ(station.Served(), got.size());
+  }
 }
 
 TEST(ModelParams, CalibratedCapacities) {

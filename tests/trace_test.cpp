@@ -6,9 +6,13 @@
 // byte-identical traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "harness/experiment.hpp"
 #include "obs/alerts.hpp"
 #include "obs/export.hpp"
@@ -122,6 +126,61 @@ TEST(Recorder, MergedOrdersByTimeThenKindThenActorThenSeq) {
   EXPECT_EQ(merged[2].actor, 0u);  // engine 0 before engine 1
   EXPECT_EQ(merged[3].actor, 1u);
   EXPECT_EQ(merged[4].actor_kind, ActorKind::kFabric);
+}
+
+// Merged() k-way merges the per-actor runs; it must produce exactly the
+// comparison sort of every retained event — with wrapped rings, equal
+// timestamps across actors, and (falling back to the sort) a stream whose
+// stamps go backwards.
+TEST(Recorder, MergedEqualsAFullSortOfRetainedEvents) {
+  const auto sorted_copy = [](const Recorder& recorder) {
+    std::vector<TraceEvent> all;
+    for (std::size_t kind = 0; kind < obs::kActorKinds; ++kind) {
+      for (std::uint32_t actor = 0; actor < 8; ++actor) {
+        const auto events =
+            recorder.ActorEvents(static_cast<ActorKind>(kind), actor);
+        all.insert(all.end(), events.begin(), events.end());
+      }
+    }
+    std::sort(all.begin(), all.end(),
+              [](const TraceEvent& x, const TraceEvent& y) {
+                return std::tie(x.time, x.actor_kind, x.actor, x.seq) <
+                       std::tie(y.time, y.actor_kind, y.actor, y.seq);
+              });
+    return all;
+  };
+  const auto same = [](const std::vector<TraceEvent>& x,
+                       const std::vector<TraceEvent>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const TraceEvent& a, const TraceEvent& b) {
+                        return a.time == b.time &&
+                               a.actor_kind == b.actor_kind &&
+                               a.actor == b.actor && a.seq == b.seq;
+                      });
+  };
+  for (const bool backdated : {false, true}) {
+    sim::Simulator sim;
+    Recorder recorder(sim, SmallRing(16));  // most actors wrap
+    Rng rng(backdated ? 3 : 2);
+    for (int i = 0; i < 600; ++i) {
+      const auto kind = static_cast<ActorKind>(rng.NextBelow(4));
+      const auto actor = static_cast<std::uint32_t>(rng.NextBelow(6));
+      sim.ScheduleAt(static_cast<SimTime>(rng.NextBelow(200)), [&, kind, actor] {
+        recorder.Emit(kind, actor, EventType::kTokenFetch, 0);
+      });
+    }
+    sim.Run();
+    if (backdated) {
+      recorder.EmitAt(sim.Now() - 50, ActorKind::kHarness, 7,
+                      EventType::kMeasureStart, 0);
+      recorder.EmitAt(sim.Now() - 100, ActorKind::kHarness, 7,
+                      EventType::kMeasureStart, 0);
+    }
+    EXPECT_GT(recorder.TotalDropped(), 0u);
+    const auto merged = recorder.Merged();
+    EXPECT_TRUE(same(merged, sorted_copy(recorder)))
+        << (backdated ? "backdated" : "time-ordered") << " streams";
+  }
 }
 
 TEST(Recorder, MacroArgumentsAreNotEvaluatedWithoutAnActiveRecorder) {

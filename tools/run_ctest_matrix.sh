@@ -45,6 +45,15 @@
 #                                          # failover changes (tsan covers
 #                                          # the threaded Crash/Recover
 #                                          # races)
+#   tools/run_ctest_matrix.sh asan-simcore
+#                                          # focused entry: the asan preset
+#                                          # restricted to the simcore-
+#                                          # labelled suites (sim_test,
+#                                          # sim_golden_test, station_test,
+#                                          # rng_test, workload_test) — the
+#                                          # gate for event-queue slot
+#                                          # reuse, station and Zipf-table
+#                                          # changes
 #   tools/run_ctest_matrix.sh trace-spans notrace
 #                                          # the span-pipeline gate: the
 #                                          # trace preset restricted to the
@@ -104,6 +113,9 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-survivability" ]]; then
     config_preset=tsan
     ctest_args=(-L survivability)
+  elif [[ "$preset" == "asan-simcore" ]]; then
+    config_preset=asan
+    ctest_args=(-L simcore)
   elif [[ "$preset" == "trace-spans" ]]; then
     config_preset=trace
     ctest_args=(-L span)

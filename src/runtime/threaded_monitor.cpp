@@ -1,23 +1,10 @@
 #include "runtime/threaded_monitor.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <variant>
 
 #include "common/assert.hpp"
-#include "common/logging.hpp"
 
 namespace haechi::runtime {
-
-namespace {
-
-using obs::ActorKind;
-using obs::EventType;
-
-std::int64_t IopsToTokens(double iops, SimDuration period) {
-  return static_cast<std::int64_t>(std::llround(iops * ToSeconds(period)));
-}
-
-}  // namespace
 
 ThreadedMonitor::ThreadedMonitor(Clock& clock, obs::Recorder* recorder,
                                  const core::QosConfig& config,
@@ -26,138 +13,95 @@ ThreadedMonitor::ThreadedMonitor(Clock& clock, obs::Recorder* recorder,
                                  double profiled_local_iops)
     : clock_(clock),
       recorder_(recorder),
-      config_(config),
       fabric_(fabric),
-      admission_(IopsToTokens(profiled_global_iops, config.period),
-                 IopsToTokens(profiled_local_iops, config.period)) {
-  const std::int64_t profiled_tokens =
-      IopsToTokens(profiled_global_iops, config.period);
-  core::CapacityEstimator::Params params;
-  params.profiled = profiled_tokens;
-  params.sigma =
-      config.sigma > 0
-          ? config.sigma
-          : static_cast<std::int64_t>(std::llround(
-                static_cast<double>(profiled_tokens) * config.sigma_fraction));
-  params.eta = config.eta > 0
-                   ? config.eta
-                   : static_cast<std::int64_t>(std::llround(
-                         static_cast<double>(profiled_tokens) *
-                         config.eta_fraction));
-  params.window = config.history_window;
-  estimator_ = std::make_unique<core::CapacityEstimator>(params);
-  shard_last_pool_.assign(fabric_.shards(), 0);
-
-  period_timer_ = std::make_unique<PeriodicTimer>(clock_, config_.period,
-                                                  [this] { PeriodTick(); });
-  check_timer_ = std::make_unique<PeriodicTimer>(
-      clock_, config_.check_interval, [this] { CheckTickFn(); });
+      core_(*this, config, profiled_global_iops, profiled_local_iops,
+            fabric.shards()) {
+  period_timer_ =
+      std::make_unique<PeriodicTimer>(clock_, config.period, [this] {
+        auto lk = Enter();
+        core_.StartPeriod();
+      });
+  check_timer_ =
+      std::make_unique<PeriodicTimer>(clock_, config.check_interval, [this] {
+        auto lk = Enter();
+        core_.CheckTick();
+      });
 }
 
 ThreadedMonitor::~ThreadedMonitor() { Stop(); }
 
-void ThreadedMonitor::EmitLocked(SimTime now, EventType type, std::int64_t a,
-                                 std::int64_t b, std::int64_t c) {
+std::unique_lock<std::mutex> ThreadedMonitor::Enter() {
+  std::unique_lock lk(mu_);
+  now_ = clock_.Now();
+  return lk;
+}
+
+void ThreadedMonitor::Send(std::size_t slot, const core::MonitorMessage& msg) {
+  ThreadedEngine* engine = engines_[slot];
+  if (engine == nullptr) return;
+  if (const auto* start = std::get_if<core::PeriodStartMsg>(&msg)) {
+    engine->DeliverPeriodStart(*start);
+  } else if (std::holds_alternative<core::ReportRequestMsg>(msg)) {
+    engine->DeliverReportRequest();
+  } else if (std::holds_alternative<core::OverReserveHintMsg>(msg)) {
+    engine->DeliverOverReserveHint();
+  } else {
+    engine->DeliverRecoverySync();
+  }
+}
+
+void ThreadedMonitor::Emit(obs::ActorKind kind, std::uint32_t actor,
+                           obs::EventType type, std::uint32_t period,
+                           std::int64_t a, std::int64_t b, std::int64_t c) {
   if (recorder_ != nullptr) {
-    recorder_->EmitAt(now, ActorKind::kMonitor, 0, type, stats_.periods, a, b,
-                      c);
+    recorder_->EmitAt(now_, kind, actor, type, period, a, b, c);
   }
 }
 
 Result<ThreadedWiring> ThreadedMonitor::AdmitClient(ClientId client,
                                                     std::int64_t reservation,
                                                     std::int64_t limit) {
-  std::lock_guard lk(mu_);
-  const SimTime now = clock_.Now();
-  bool readmission = false;
-  if (FindClientLocked(client) != nullptr) {
-    const Status released = ReleaseClientLocked(now, client);
-    HAECHI_ASSERT(released.ok());
-    ++stats_.readmissions;
-    readmission = true;
-  }
-  if (clients_.size() >= SharedRegion::kMaxClients) {
-    return ErrResourceExhausted("monitor is at its client capacity");
-  }
-  if (limit > 0 && limit < reservation) {
-    return ErrInvalidArgument("limit below reservation");
-  }
-  if (free_slots_.empty() && next_slot_ >= SharedRegion::kMaxClients) {
-    return ErrResourceExhausted("all report slots consumed");
-  }
-  if (auto s = admission_.Admit(client, reservation); !s.ok()) {
-    EmitLocked(now, EventType::kAdmitReject,
-               static_cast<std::int64_t>(Raw(client)), reservation);
-    return s;
-  }
-  EmitLocked(now, readmission ? EventType::kReadmit : EventType::kAdmit,
-             static_cast<std::int64_t>(Raw(client)), reservation, limit);
-
-  ClientEntry entry;
-  entry.id = client;
-  entry.reservation = reservation;
-  entry.limit = limit;
-  entry.slot = AllocateSlotLocked();
-  // Prime the (possibly recycled) slot with a stale-tagged conservative
-  // report, then baseline the lease on those bytes.
-  fabric_.PrimeSlot(
-      entry.slot,
-      core::PackReport(stats_.periods - 1,
-                       static_cast<std::uint64_t>(
-                           std::max<std::int64_t>(reservation, 0)),
-                       0));
-  entry.last_slot_raw = fabric_.ReadSlot(entry.slot).packed;
-  entry.lease_misses = 0;
-  clients_.push_back(entry);
-  return ThreadedWiring{entry.slot};
+  auto lk = Enter();
+  const Result<std::size_t> slot =
+      core_.AdmitClient(client, reservation, limit);
+  if (!slot.ok()) return slot.status();
+  // A recycled slot must not reach its previous occupant's engine.
+  engines_[slot.value()] = nullptr;
+  return ThreadedWiring{slot.value()};
 }
 
 Status ThreadedMonitor::BindEngine(ClientId client, ThreadedEngine* engine) {
-  std::lock_guard lk(mu_);
-  ClientEntry* entry = FindClientLocked(client);
-  if (entry == nullptr) return ErrNotFound("client not admitted");
-  entry->engine = engine;
-  if (reporting_active_ && engine != nullptr) {
-    // The period's ReportRequest broadcast predates this client.
-    engine->DeliverReportRequest();
-  }
+  auto lk = Enter();
+  const Result<std::size_t> slot = core_.SlotOf(client);
+  if (!slot.ok()) return slot.status();
+  engines_[slot.value()] = engine;
+  core_.OnChannelBound(client);
   return Status::Ok();
 }
 
 Status ThreadedMonitor::ReleaseClient(ClientId client) {
-  std::lock_guard lk(mu_);
-  return ReleaseClientLocked(clock_.Now(), client);
+  auto lk = Enter();
+  return core_.ReleaseClient(client);
 }
 
-Status ThreadedMonitor::ReleaseClientLocked(SimTime now, ClientId client) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  if (it == clients_.end()) return ErrNotFound("client not admitted");
-  // Quarantine the slot until the next period boundary: a report the
-  // departing client's report thread already launched must not land in a
-  // stranger's recycled slot.
-  retired_slots_.push_back(it->slot);
-  clients_.erase(it);
-  EmitLocked(now, EventType::kRelease, static_cast<std::int64_t>(Raw(client)));
-  return admission_.Release(client);
+Status ThreadedMonitor::UpdateReservation(ClientId client,
+                                          std::int64_t reservation) {
+  auto lk = Enter();
+  return core_.UpdateReservation(client, reservation);
 }
 
-std::size_t ThreadedMonitor::AllocateSlotLocked() {
-  if (!free_slots_.empty()) {
-    const std::size_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  return next_slot_++;
+void ThreadedMonitor::SetController(core::control::QosController* controller,
+                                    std::function<void(ClientId)> readmit) {
+  auto lk = Enter();
+  core_.SetController(controller, std::move(readmit));
 }
 
 void ThreadedMonitor::Start() {
   {
-    std::lock_guard lk(mu_);
-    HAECHI_EXPECTS(!running_);
-    running_ = true;
-    StartPeriodLocked(clock_.Now());
+    auto lk = Enter();
+    HAECHI_EXPECTS(!core_.running());
+    core_.SetRunning(true);
+    core_.StartPeriod();
   }
   period_timer_->Start();
   check_timer_->Start();
@@ -165,722 +109,33 @@ void ThreadedMonitor::Start() {
 
 void ThreadedMonitor::Stop() {
   {
-    std::lock_guard lk(mu_);
-    running_ = false;
+    auto lk = Enter();
+    core_.SetRunning(false);
   }
   period_timer_->Stop();
   check_timer_->Stop();
 }
 
-void ThreadedMonitor::PeriodTick() {
-  std::lock_guard lk(mu_);
-  if (!running_) return;
-  StartPeriodLocked(clock_.Now());
-}
-
-void ThreadedMonitor::CheckTickFn() {
-  std::lock_guard lk(mu_);
-  if (!running_) return;
-  CheckTickLocked(clock_.Now());
-}
-
-void ThreadedMonitor::StartPeriodLocked(SimTime now) {
-  // The first boundary after a recovery provisions fresh state only: the
-  // crashed period never completed, so there is nothing to calibrate, no
-  // ledger to close (the crashed entry stays UNCLOSED — no period-end
-  // emit), no settled watchdog verdicts for the controller to act on, and
-  // slots retired during recovery reconciliation have not yet sat out a
-  // full boundary (stale in-flight report writes may still land in them).
-  const bool recovering = recovered_pending_;
-  recovered_pending_ = false;
-  if (stats_.periods > 0 && !recovering) CalibrateLocked(now);
-  dead_completed_this_period_ = 0;
-
-  // Provision the next period *before* touching the pool word, so the
-  // boundary itself is one atomic exchange.
-  const std::int64_t next_capacity = estimator_->Estimate();
-  std::int64_t total_reserved = 0;
-  for (const auto& entry : clients_) total_reserved += entry.reservation;
-  const std::int64_t next_initial =
-      std::max<std::int64_t>(next_capacity - total_reserved, 0);
-
-  // The boundary: install each shard's share of the new pool and read the
-  // old period's final word per shard in one exchange each. The ledger
-  // closes on the shard-summed raw word; per-shard telescoping against
-  // shard_last_pool_ keeps `granted` exact even though the exchanges are
-  // not simultaneous (clients only ever decrease the words between them).
-  const std::size_t nshards = fabric_.shards();
-  std::int64_t raw_sum = 0;
-  std::int64_t boundary_granted = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::int64_t raw =
-        fabric_.ExchangePool(s, ShardShare(next_initial, s));
-    raw_sum += raw;
-    boundary_granted += shard_last_pool_[s] - raw;
-    shard_last_pool_[s] = ShardShare(next_initial, s);
-  }
-  if (!ledger_.empty() && !recovering) {
-    PeriodLedger& prev = ledger_.back();
-    prev.granted += boundary_granted;
-    prev.end_pool = raw_sum;
-    EmitLocked(now, EventType::kMonitorPeriodEnd, raw_sum,
-               stats_.last_period_completions, prev.granted);
-  }
-
-  // Closed-loop control boundary. The kMonitorPeriodEnd emit above ran the
-  // watchdog synchronously through the recorder tap, so the controller's
-  // alert intake for the closing period is settled. Resizes are sum-neutral
-  // on total_reserved, so next_initial (already exchanged into the shards)
-  // stays valid; the T1 dispatch loop below reads the updated reservations.
-  if (controller_ != nullptr && stats_.periods > 0 && !recovering) {
-    RunControlBoundaryLocked(now);
-  }
-
-  // Slots retired last period sat out a full boundary; safe to recycle.
-  if (!recovering) {
-    free_slots_.insert(free_slots_.end(), retired_slots_.begin(),
-                       retired_slots_.end());
-    retired_slots_.clear();
-  }
-
-  ++stats_.periods;
-  period_start_time_ = now;
-  reporting_active_ = false;
-  period_capacity_ = next_capacity;
-  initial_pool_ = next_initial;
-  last_written_pool_ = initial_pool_;
-  recent_grants_.clear();
-
-  PeriodLedger ledger;
-  ledger.period = stats_.periods;
-  ledger.capacity = period_capacity_;
-  ledger.dispatched = total_reserved;
-  ledger.initial_pool = initial_pool_;
-  ledger.end_pool = initial_pool_;
-  ledger_.push_back(ledger);
-  EmitLocked(now, EventType::kMonitorPeriodStart, period_capacity_,
-             total_reserved, initial_pool_);
-  if (ledger_.size() > 4096) ledger_.erase(ledger_.begin());
-
-  // Step T1: prime report slots and push fresh reservation tokens; the
-  // delivery is also the period-start signal.
-  for (auto& entry : clients_) {
-    fabric_.PrimeSlot(
-        entry.slot,
-        core::PackReport(stats_.periods,
-                         static_cast<std::uint64_t>(
-                             std::max<std::int64_t>(entry.reservation, 0)),
-                         0));
-    entry.last_slot_raw = fabric_.ReadSlot(entry.slot).packed;
-    entry.lease_misses = 0;
-    core::PeriodStartMsg msg;
-    msg.period = stats_.periods;
-    msg.reservation_tokens = entry.reservation;
-    msg.limit = entry.limit;
-    if (entry.engine != nullptr) entry.engine->DeliverPeriodStart(msg);
-  }
-
-  // Controller W6 recovery: a zero-initial pool can never trip S2, so once
-  // forced conversion is latched, activate reporting at every period start.
-  if (force_reporting_ && !reporting_active_) {
-    ActivateReportingLocked(now, fabric_.LoadPoolSum());
-  }
-
-  if (config_.checkpoint_every_periods > 0 &&
-      stats_.periods % config_.checkpoint_every_periods == 0) {
-    CaptureCheckpointLocked(now);
-  }
-}
-
-void ThreadedMonitor::CaptureCheckpointLocked(SimTime now) {
-  checkpoint_.valid = true;
-  checkpoint_.epoch = stats_.periods;
-  checkpoint_.capacity = period_capacity_;
-  checkpoint_.pool_word = initial_pool_;
-  checkpoint_.reservation_sum = 0;
-  checkpoint_.clients.clear();
-  for (const auto& entry : clients_) {
-    checkpoint_.clients.push_back(
-        {entry.id, entry.reservation, entry.limit, entry.slot, entry.engine});
-    checkpoint_.reservation_sum += entry.reservation;
-  }
-  EmitLocked(now, EventType::kMonitorCheckpoint,
-             static_cast<std::int64_t>(checkpoint_.epoch),
-             checkpoint_.reservation_sum, checkpoint_.pool_word);
-}
-
 void ThreadedMonitor::Crash() {
   {
-    std::lock_guard lk(mu_);
-    if (crashed_ || !running_) return;
-    running_ = false;
-    crashed_ = true;
-    ++stats_.crashes;
-    if (!ledger_.empty()) ledger_.back().crashed = true;
-    // The in-memory client table dies with the process; the shared region
-    // (pool shards, report slots, checkpoint) survives. Keep only the
-    // wreckage (id + slot) recovery reconciles against.
-    wreckage_.clear();
-    for (const auto& entry : clients_) {
-      wreckage_.emplace_back(entry.id, entry.slot);
-    }
-    clients_.clear();
-    HAECHI_LOG_WARN("threaded monitor: control plane crashed in period %u",
-                    stats_.periods);
-    EmitLocked(clock_.Now(), EventType::kMonitorCrash);
+    auto lk = Enter();
+    if (!core_.running() || !core_.Crash()) return;
   }
   // Disarm outside the lock, matching Stop(); an already-launched tick
-  // re-checks running_ under the lock and becomes a no-op.
+  // re-checks running() under the lock and becomes a no-op.
   period_timer_->Stop();
   check_timer_->Stop();
 }
 
 void ThreadedMonitor::Recover() {
   {
-    std::lock_guard lk(mu_);
-    HAECHI_EXPECTS(crashed_);
-    crashed_ = false;
-    running_ = true;
-    ++stats_.recoveries;
-    const SimTime now = clock_.Now();
-
-    // Reconcile the checkpoint against the wreckage: a client admitted
-    // after the last checkpoint is unknown to the restarted monitor — its
-    // admission is released and its slot retired (it re-admits through the
-    // normal handshake). A checkpointed client that departed before the
-    // crash is not in the wreckage and must not be resurrected.
-    std::uint32_t reconciled = 0;
-    for (const auto& [id, slot] : wreckage_) {
-      const bool checkpointed =
-          checkpoint_.valid &&
-          std::any_of(checkpoint_.clients.begin(), checkpoint_.clients.end(),
-                      [id = id](const Checkpoint::Client& c) {
-                        return c.id == id;
-                      });
-      if (checkpointed) continue;
-      const Status released = admission_.Release(id);
-      HAECHI_ASSERT(released.ok());
-      retired_slots_.push_back(slot);
-    }
-    if (checkpoint_.valid) {
-      for (const auto& c : checkpoint_.clients) {
-        const bool live =
-            std::any_of(wreckage_.begin(), wreckage_.end(),
-                        [&](const auto& w) { return w.first == c.id; });
-        if (!live) continue;
-        ClientEntry entry;
-        entry.id = c.id;
-        entry.reservation = c.reservation;
-        entry.limit = c.limit;
-        entry.engine = c.engine;
-        entry.slot = c.slot;
-        // Live-slot reconciliation: adopt whatever the client wrote while
-        // the monitor was down as the lease baseline, and count slots
-        // whose period tag proves a report landed since the checkpoint.
-        entry.last_slot_raw = fabric_.ReadSlot(c.slot).packed;
-        entry.lease_misses = 0;
-        if (core::ReportPeriod(entry.last_slot_raw) ==
-            (checkpoint_.epoch & core::kReportPeriodMask)) {
-          ++reconciled;
-        }
-        clients_.push_back(entry);
-        // Realign admission with the restored reservation (a resize may
-        // have happened between the checkpoint and the crash).
-        const Status synced = admission_.Update(c.id, c.reservation);
-        HAECHI_ASSERT(synced.ok());
-      }
-    }
-    wreckage_.clear();
-    HAECHI_LOG_WARN(
-        "threaded monitor: recovered from checkpoint epoch %u (%zu clients, "
-        "%lld reserved)",
-        checkpoint_.epoch, clients_.size(),
-        static_cast<long long>(checkpoint_.reservation_sum));
-    EmitLocked(now, EventType::kMonitorRecover,
-               static_cast<std::int64_t>(
-                   checkpoint_.valid ? checkpoint_.epoch : 0),
-               checkpoint_.valid ? checkpoint_.reservation_sum : 0,
-               static_cast<std::int64_t>(reconciled));
-
-    // Recovery handshake: every restored client proves liveness with an
-    // immediate report write before boundary sweeps resume.
-    for (auto& entry : clients_) {
-      if (entry.engine != nullptr) entry.engine->DeliverRecoverySync();
-    }
-
-    recovered_pending_ = true;
-    StartPeriodLocked(clock_.Now());
+    auto lk = Enter();
+    HAECHI_EXPECTS(core_.Crashed());
+    core_.SetRunning(true);
+    core_.Recover();
   }
   period_timer_->Start();
   check_timer_->Start();
-}
-
-bool ThreadedMonitor::Crashed() const {
-  std::lock_guard lk(mu_);
-  return crashed_;
-}
-
-ThreadedMonitor::Checkpoint ThreadedMonitor::CheckpointSnapshot() const {
-  std::lock_guard lk(mu_);
-  return checkpoint_;
-}
-
-void ThreadedMonitor::CheckTickLocked(SimTime now) {
-  if (stats_.periods == 0) return;
-  ++stats_.checks;
-
-  const std::size_t nshards = fabric_.shards();
-  std::int64_t raw_sum = 0;
-  std::int64_t sample_granted = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::int64_t raw = fabric_.LoadPool(s);
-    raw_sum += raw;
-    sample_granted += shard_last_pool_[s] - raw;
-    shard_last_pool_[s] = raw;
-    // Per-shard occupancy telemetry for the sharded runtime (the watchdog's
-    // status line and the span profiler's shard view). Single-shard runs
-    // stay bit-identical to sim traces, which have no kShardSample.
-    if (nshards > 1) {
-      EmitLocked(now, EventType::kShardSample,
-                 static_cast<std::int64_t>(s), raw);
-      ++runtime_stats_.shard_samples;
-    }
-  }
-  if (!ledger_.empty()) {
-    ledger_.back().granted += sample_granted;
-    EmitLocked(now, EventType::kPoolSample, raw_sum);
-  }
-
-  // With the shard values freshly witnessed, even out lopsided shards so a
-  // client whose home shard ran dry is not starved while a neighbour
-  // hoards (AdapTBF-style periodic redistribution).
-  if (nshards > 1) RebalanceLocked(now);
-
-  const std::int64_t observed_now = raw_sum;
-  // Tokens granted since the last check: the word only moves down between
-  // monitor writes, and a draw against an empty pool grants nothing.
-  const std::int64_t grants = std::max<std::int64_t>(last_written_pool_, 0) -
-                              std::max<std::int64_t>(observed_now, 0);
-  recent_grants_.push_back(std::max<std::int64_t>(grants, 0));
-  const std::size_t lag_checks =
-      static_cast<std::size_t>(
-          config_.report_interval /
-          std::max<SimDuration>(config_.check_interval, 1)) +
-      2;
-  while (recent_grants_.size() > lag_checks) recent_grants_.pop_front();
-  last_written_pool_ = observed_now;
-
-  // Step S2: reservation-token overflow — someone is drawing on the pool.
-  if (!reporting_active_ && observed_now < initial_pool_) {
-    ActivateReportingLocked(now, observed_now);
-  }
-
-  if (reporting_active_ && config_.report_lease_intervals > 0) {
-    CheckLeasesLocked(now);
-  }
-
-  // Step T2: token conversion.
-  if (reporting_active_ && config_.token_conversion) ConvertTokensLocked(now);
-}
-
-void ThreadedMonitor::CheckLeasesLocked(SimTime now) {
-  std::vector<ClientId> dead;
-  for (ClientEntry& entry : clients_) {
-    const std::uint64_t raw = fabric_.ReadSlot(entry.slot).packed;
-    if (raw != entry.last_slot_raw) {
-      entry.last_slot_raw = raw;
-      entry.lease_misses = 0;
-      continue;
-    }
-    ++entry.lease_misses;
-    if (entry.lease_misses ==
-        std::max<std::uint32_t>(config_.report_lease_intervals / 2, 1)) {
-      ++stats_.report_request_resends;
-      EmitLocked(now, EventType::kReportResend,
-                 static_cast<std::int64_t>(Raw(entry.id)));
-      if (entry.engine != nullptr) entry.engine->DeliverReportRequest();
-    }
-    if (entry.lease_misses >= config_.report_lease_intervals) {
-      dead.push_back(entry.id);
-    }
-  }
-  for (const ClientId id : dead) DeclareDeadLocked(now, id);
-}
-
-void ThreadedMonitor::DeclareDeadLocked(SimTime now, ClientId client) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  if (it == clients_.end()) return;
-  const std::uint64_t slot = fabric_.ReadSlot(it->slot).packed;
-  std::int64_t residual;
-  std::int64_t salvaged = 0;
-  if (core::ReportPeriod(slot) ==
-      (stats_.periods & core::kReportPeriodMask)) {
-    residual = static_cast<std::int64_t>(core::ReportResidual(slot));
-    salvaged = static_cast<std::int64_t>(core::ReportCompleted(slot));
-    dead_completed_this_period_ += salvaged;
-  } else {
-    residual = std::max<std::int64_t>(it->reservation, 0);
-  }
-  HAECHI_LOG_WARN(
-      "threaded monitor: client %u report lease expired after %u checks; "
-      "reclaiming %lld residual tokens",
-      Raw(client), it->lease_misses, static_cast<long long>(residual));
-  ++stats_.lease_expirations;
-  EmitLocked(now, EventType::kLeaseExpire,
-             static_cast<std::int64_t>(Raw(client)), residual, salvaged);
-  stats_.reclaimed_tokens += residual;
-  if (!ledger_.empty()) ledger_.back().reclaimed += residual;
-  retired_slots_.push_back(it->slot);
-  clients_.erase(it);
-  const Status released = admission_.Release(client);
-  HAECHI_ASSERT(released.ok());
-  if (config_.token_conversion && reporting_active_) ConvertTokensLocked(now);
-  if (client_dead_cb_) client_dead_cb_(client);
-}
-
-void ThreadedMonitor::ConvertTokensLocked(SimTime now) {
-  std::int64_t outstanding_reservation = 0;  // the paper's L
-  std::int64_t completed_so_far = dead_completed_this_period_;
-  for (const auto& entry : clients_) {
-    const std::uint64_t slot = fabric_.ReadSlot(entry.slot).packed;
-    if (core::ReportPeriod(slot) ==
-        (stats_.periods & core::kReportPeriodMask)) {
-      outstanding_reservation += core::ReportResidual(slot);
-      completed_so_far += core::ReportCompleted(slot);
-    } else {
-      outstanding_reservation += entry.reservation;
-    }
-  }
-  const SimDuration elapsed = now - period_start_time_;
-  const SimDuration left = std::max<SimDuration>(config_.period - elapsed, 0);
-  // Same remaining-capacity arithmetic as the sim monitor: min of the
-  // paper's time budget C*(T-t)/T and the conservation-preserving
-  // completion budget C - U(t). The trace event is stamped with the same
-  // `now` the budget uses, so the audit's A4 recomputation matches.
-  const auto time_budget = static_cast<std::int64_t>(
-      static_cast<__int128>(period_capacity_) * left / config_.period);
-  const std::int64_t completion_budget =
-      period_capacity_ - completed_so_far;
-  const std::int64_t remaining_capacity =
-      std::min(time_budget, completion_budget);
-  std::int64_t unreported_grants = 0;
-  for (const std::int64_t g : recent_grants_) unreported_grants += g;
-  const std::int64_t new_pool = std::max<std::int64_t>(
-      remaining_capacity - outstanding_reservation - unreported_grants, 0);
-
-  // Install each shard's share with a CAS loop: every failure means client
-  // FAAs moved that word; retry from the freshly-witnessed value so the
-  // final successful CAS gives the exact pre-conversion word and no grant
-  // is ever lost to an overwrite. The ledger and trace event carry the
-  // shard-summed values.
-  const std::size_t nshards = fabric_.shards();
-  std::int64_t raw_before_sum = 0;
-  std::int64_t convert_granted = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::int64_t share = ShardShare(new_pool, s);
-    std::int64_t expected = fabric_.LoadPool(s);
-    while (!fabric_.CasPool(s, expected, share)) {
-      ++runtime_stats_.convert_cas_retries;
-    }
-    raw_before_sum += expected;
-    convert_granted += shard_last_pool_[s] - expected;
-    shard_last_pool_[s] = share;
-  }
-  if (!ledger_.empty()) {
-    PeriodLedger& cur = ledger_.back();
-    cur.granted += convert_granted;
-    cur.minted += new_pool - raw_before_sum;
-    EmitLocked(now, EventType::kTokenConvert, raw_before_sum, new_pool,
-               outstanding_reservation);
-  }
-  last_written_pool_ = new_pool;
-  ++stats_.conversions;
-}
-
-std::int64_t ThreadedMonitor::ShardShare(std::int64_t total,
-                                         std::size_t shard) const {
-  const auto n = static_cast<std::int64_t>(fabric_.shards());
-  if (total <= 0) return 0;
-  return total / n + (static_cast<std::int64_t>(shard) < total % n ? 1 : 0);
-}
-
-void ThreadedMonitor::RebalanceLocked(SimTime now) {
-  // Move half the spread from the fullest shard to the emptiest one, one
-  // move per check tick, when the spread exceeds two effective fetch
-  // batches — cheap, incremental, and a no-op in steady state. The donor
-  // side is a CAS (witnessing the live word so concurrent grants stay
-  // ledger-exact, clamping the move to what is actually there); the
-  // receiver side is a FAA whose return value witnesses that word. The
-  // move itself is sum-neutral: only the witnessed client grants change
-  // `granted`, and `minted` is untouched.
-  if (ledger_.empty()) return;
-  const std::size_t nshards = fabric_.shards();
-  std::size_t donor = 0;
-  std::size_t receiver = 0;
-  for (std::size_t s = 1; s < nshards; ++s) {
-    if (shard_last_pool_[s] > shard_last_pool_[donor]) donor = s;
-    if (shard_last_pool_[s] < shard_last_pool_[receiver]) receiver = s;
-  }
-  const std::int64_t batch =
-      config_.token_batch * std::max<std::int64_t>(config_.fetch_batch, 1);
-  const std::int64_t spread =
-      shard_last_pool_[donor] - shard_last_pool_[receiver];
-  if (donor == receiver || spread <= 2 * batch) return;
-
-  PeriodLedger& cur = ledger_.back();
-  std::int64_t move = spread / 2;
-  std::int64_t expected = fabric_.LoadPool(donor);
-  for (;;) {
-    move = std::min(move, std::max<std::int64_t>(expected, 0));
-    if (move <= 0) {
-      // Clients drained the donor under us; fold the witnessed grants in
-      // and try again next tick.
-      cur.granted += shard_last_pool_[donor] - expected;
-      shard_last_pool_[donor] = expected;
-      return;
-    }
-    if (fabric_.CasPool(donor, expected, expected - move)) break;
-  }
-  cur.granted += shard_last_pool_[donor] - expected;
-  shard_last_pool_[donor] = expected - move;
-  const std::int64_t receiver_before = fabric_.AddPool(receiver, move);
-  cur.granted += shard_last_pool_[receiver] - receiver_before;
-  shard_last_pool_[receiver] = receiver_before + move;
-  ++stats_.rebalances;
-  stats_.rebalanced_tokens += move;
-  std::int64_t tracked_sum = 0;
-  for (const std::int64_t v : shard_last_pool_) tracked_sum += v;
-  EmitLocked(now, EventType::kPoolRebalance, tracked_sum, move,
-             static_cast<std::int64_t>((donor << 8) | receiver));
-}
-
-void ThreadedMonitor::CalibrateLocked(SimTime now) {
-  // Step T3: feed Algorithm 1 with the reported completion total.
-  std::int64_t total_completed = dead_completed_this_period_;
-  for (const auto& entry : clients_) {
-    const std::uint64_t slot = fabric_.ReadSlot(entry.slot).packed;
-    if (core::ReportPeriod(slot) ==
-        (stats_.periods & core::kReportPeriodMask)) {
-      total_completed += core::ReportCompleted(slot);
-      EmitLocked(now, EventType::kClientPeriodReport,
-                 static_cast<std::int64_t>(Raw(entry.id)),
-                 static_cast<std::int64_t>(core::ReportCompleted(slot)),
-                 static_cast<std::int64_t>(core::ReportResidual(slot)));
-      if (client_report_hook_) {
-        client_report_hook_(
-            stats_.periods, entry.id,
-            static_cast<std::int64_t>(core::ReportCompleted(slot)));
-      }
-    }
-  }
-  stats_.last_period_completions = total_completed;
-  if (reporting_active_) {
-    estimator_->OnPeriodEnd(total_completed);
-    EmitLocked(now, EventType::kCapacityEstimate, total_completed,
-               estimator_->Estimate(),
-               static_cast<std::int64_t>(estimator_->LastDecision()));
-
-    for (auto& entry : clients_) {
-      const std::uint64_t slot = fabric_.ReadSlot(entry.slot).packed;
-      if (core::ReportPeriod(slot) !=
-          (stats_.periods & core::kReportPeriodMask)) {
-        continue;
-      }
-      const auto completed =
-          static_cast<std::int64_t>(core::ReportCompleted(slot));
-      if (completed < entry.reservation) {
-        ++entry.underuse_streak;
-        if (entry.underuse_streak >= config_.underuse_alert_periods) {
-          ++stats_.over_reserve_hints;
-          if (over_reserve_cb_) over_reserve_cb_(entry.id);
-          if (entry.engine != nullptr) entry.engine->DeliverOverReserveHint();
-          entry.underuse_streak = 0;
-        }
-      } else {
-        entry.underuse_streak = 0;
-      }
-    }
-  }
-  if (period_hook_) {
-    period_hook_(stats_.periods, total_completed, estimator_->Estimate());
-  }
-}
-
-ThreadedMonitor::ClientEntry* ThreadedMonitor::FindClientLocked(
-    ClientId client) {
-  const auto it =
-      std::find_if(clients_.begin(), clients_.end(),
-                   [&](const ClientEntry& e) { return e.id == client; });
-  return it == clients_.end() ? nullptr : &*it;
-}
-
-void ThreadedMonitor::SetController(core::control::QosController* controller,
-                                    std::function<void(ClientId)> readmit) {
-  std::lock_guard lk(mu_);
-  controller_ = controller;
-  readmit_cb_ = std::move(readmit);
-}
-
-Status ThreadedMonitor::UpdateReservation(ClientId client,
-                                          std::int64_t reservation) {
-  std::lock_guard lk(mu_);
-  return UpdateReservationLocked(clock_.Now(), client, reservation);
-}
-
-Status ThreadedMonitor::UpdateReservationLocked(SimTime now, ClientId client,
-                                                std::int64_t reservation) {
-  ClientEntry* entry = FindClientLocked(client);
-  if (entry == nullptr) return ErrNotFound("client not admitted");
-  if (entry->limit > 0 && reservation > entry->limit) {
-    return ErrInvalidArgument("reservation above the client's limit");
-  }
-  if (auto s = admission_.Update(client, reservation); !s.ok()) return s;
-  const std::int64_t previous = entry->reservation;
-  entry->reservation = reservation;
-  EmitLocked(now, EventType::kReservationUpdate,
-             static_cast<std::int64_t>(Raw(client)), reservation, previous);
-  return Status::Ok();
-}
-
-void ThreadedMonitor::ActivateReportingLocked(SimTime now,
-                                              std::int64_t observed_pool) {
-  reporting_active_ = true;
-  ++stats_.report_signals;
-  EmitLocked(now, EventType::kReportSignal, observed_pool, initial_pool_);
-  for (auto& entry : clients_) {
-    if (entry.engine != nullptr) entry.engine->DeliverReportRequest();
-  }
-}
-
-void ThreadedMonitor::RunControlBoundaryLocked(SimTime now) {
-  // The view: reservations as configured, completions as reported for the
-  // period that just ended (slots still hold the final reports — they are
-  // re-primed only when the next period is dispatched below).
-  std::vector<core::control::QosController::ClientView> view;
-  view.reserve(clients_.size());
-  for (const auto& entry : clients_) {
-    std::int64_t completed = 0;
-    const std::uint64_t slot = fabric_.ReadSlot(entry.slot).packed;
-    if (core::ReportPeriod(slot) ==
-        (stats_.periods & core::kReportPeriodMask)) {
-      completed = static_cast<std::int64_t>(core::ReportCompleted(slot));
-    }
-    // The admissible region caps the planning limit: a receiver can never
-    // be grown past the per-client local capacity, so every planned resize
-    // passes admission_.Update and the emitted deltas stay sum-neutral.
-    const std::int64_t local = admission_.LocalCapacity();
-    const std::int64_t plan_limit =
-        entry.limit > 0 ? std::min(entry.limit, local) : local;
-    view.push_back({Raw(entry.id), entry.reservation, plan_limit, completed});
-  }
-  std::sort(view.begin(), view.end(),
-            [](const core::control::QosController::ClientView& x,
-               const core::control::QosController::ClientView& y) {
-              return x.client < y.client;
-            });
-
-  const core::control::QosController::Boundary plan =
-      controller_->PlanBoundary(stats_.periods, view);
-  if (recorder_ != nullptr) {
-    for (const auto& r : plan.recovered) {
-      recorder_->EmitAt(now, ActorKind::kController, 0,
-                        EventType::kControlRecovered, stats_.periods,
-                        static_cast<std::int64_t>(r.rule), r.client,
-                        static_cast<std::int64_t>(r.periods));
-    }
-  }
-  for (const auto& action : plan.actions) {
-    bool applied = false;
-    std::int64_t payload = action.value;
-    switch (action.kind) {
-      case core::control::ActionKind::kResize: {
-        const Status s = UpdateReservationLocked(
-            now, MakeClientId(static_cast<std::uint32_t>(action.client)),
-            action.value);
-        if (!s.ok()) {
-          HAECHI_LOG_WARN("controller: resize of client %lld failed: %s",
-                          static_cast<long long>(action.client),
-                          s.ToString().c_str());
-        }
-        applied = s.ok();
-        payload = action.delta;
-        break;
-      }
-      case core::control::ActionKind::kScaleEta:
-        estimator_->SetEtaScaleMilli(action.value);
-        applied = true;
-        break;
-      case core::control::ActionKind::kForceConversion:
-        force_reporting_ = true;
-        applied = true;
-        break;
-      case core::control::ActionKind::kReadmit:
-        if (readmit_cb_) {
-          readmit_cb_(MakeClientId(static_cast<std::uint32_t>(action.client)));
-          applied = true;
-        }
-        break;
-    }
-    if (applied && recorder_ != nullptr) {
-      recorder_->EmitAt(now, ActorKind::kController, 0,
-                        EventType::kControlAction, stats_.periods,
-                        static_cast<std::int64_t>(action.kind), action.client,
-                        payload);
-    }
-  }
-}
-
-ThreadedMonitor::Stats ThreadedMonitor::StatsSnapshot() const {
-  std::lock_guard lk(mu_);
-  return stats_;
-}
-
-ThreadedMonitor::RuntimeStats ThreadedMonitor::RuntimeStatsSnapshot() const {
-  std::lock_guard lk(mu_);
-  return runtime_stats_;
-}
-
-std::vector<ThreadedMonitor::PeriodLedger> ThreadedMonitor::LedgerSnapshot()
-    const {
-  std::lock_guard lk(mu_);
-  return ledger_;
-}
-
-std::int64_t ThreadedMonitor::PeriodCapacity() const {
-  std::lock_guard lk(mu_);
-  return period_capacity_;
-}
-
-std::int64_t ThreadedMonitor::InitialPool() const {
-  std::lock_guard lk(mu_);
-  return initial_pool_;
-}
-
-bool ThreadedMonitor::ReportingActive() const {
-  std::lock_guard lk(mu_);
-  return reporting_active_;
-}
-
-void ThreadedMonitor::SetPeriodHook(PeriodHook fn) {
-  std::lock_guard lk(mu_);
-  period_hook_ = std::move(fn);
-}
-
-void ThreadedMonitor::SetClientReportHook(ClientReportHook fn) {
-  std::lock_guard lk(mu_);
-  client_report_hook_ = std::move(fn);
-}
-
-void ThreadedMonitor::SetOverReserveCallback(std::function<void(ClientId)> fn) {
-  std::lock_guard lk(mu_);
-  over_reserve_cb_ = std::move(fn);
-}
-
-void ThreadedMonitor::SetClientDeadCallback(std::function<void(ClientId)> fn) {
-  std::lock_guard lk(mu_);
-  client_dead_cb_ = std::move(fn);
 }
 
 }  // namespace haechi::runtime

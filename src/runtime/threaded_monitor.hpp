@@ -1,47 +1,38 @@
-// The data-node QoS monitor on real threads (the concurrent-runtime port
-// of core::QosMonitor, paper §II-E).
+// The data-node QoS monitor on real threads (paper §II-E).
 //
-// Protocol logic is a faithful port of src/core/monitor.cpp — same period
-// sequencing (calibrate, close the ledger, re-provision, prime slots,
-// dispatch reservations), same S1–S3 check loop, same token-conversion
-// arithmetic and grant-lag correction, same report lease — re-hosted on a
-// wall Clock with two runtime::PeriodicTimer threads (period boundary and
-// check tick) that serialise on the monitor mutex. The differences forced
-// by real concurrency:
+// The protocol is core::MonitorCore, the same code the simulator's
+// core::QosMonitor runs. This class is its concurrent-runtime port and
+// differs from the simulated one in three things only:
 //
-//   * the period boundary re-initialises the pool with an atomic
-//     *exchange*, so the old period's final word is read and the new
-//     period's pool installed in one step — a client FAA can land before
-//     or after the boundary but never be silently overwritten;
-//   * token conversion installs the new pool with a CAS loop that
-//     re-witnesses the pre-conversion word on every failure, so grants
-//     racing the conversion stay exactly accounted in the ledger;
-//   * control messages are delivered to engines by direct call from the
-//     monitor thread (the two-sided SEND), never the other way around —
-//     engines only touch the shared region, so the lock order
-//     monitor-mutex -> engine-mutex is acyclic.
+//   * transport: the pool shards and report slots are ThreadedFabric's
+//     shared atomics (boundary exchange, conversion/rebalance CAS and the
+//     seqlock'd slots are genuinely concurrent with client FAAs), and the
+//     two-sided control messages are Deliver* calls into the engine bound
+//     to each slot — engines only touch the shared region, so the lock
+//     order monitor-mutex -> engine-mutex is acyclic;
+//   * clock: two wall-clock runtime::PeriodicTimer threads drive the
+//     period boundary and the check tick; every entry point reads the
+//     Clock once, so an event is stamped (Recorder::EmitAt) with the same
+//     `now` its payload was computed from;
+//   * locking: one mutex serialises the timer threads and the public API
+//     around the core.
 //
-// The conservation identities of core::QosMonitor::PeriodLedger hold
-// *exactly* here too (raw-difference telescoping over atomic operations),
-// which is what tests/runtime_stress_test.cpp and the differential audit
+// The conservation identities of MonitorCore::PeriodLedger hold *exactly*
+// here too, which tests/runtime_stress_test.cpp and the differential audit
 // lean on.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "core/admission.hpp"
-#include "core/capacity_estimator.hpp"
-#include "core/config.hpp"
-#include "core/control/controller.hpp"
-#include "core/monitor.hpp"
-#include "core/wire.hpp"
+#include "core/monitor_core.hpp"
 #include "obs/trace.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/threaded_engine.hpp"
@@ -56,51 +47,19 @@ struct ThreadedWiring {
   std::size_t slot = 0;
 };
 
-class ThreadedMonitor {
+class ThreadedMonitor : private core::MonitorPort {
  public:
-  using Stats = core::QosMonitor::Stats;
-  using PeriodLedger = core::QosMonitor::PeriodLedger;
-
-  /// Threaded-runtime-only contention telemetry. Separate from Stats,
-  /// which is shared with the sim monitor and compared field-for-field by
-  /// the differential tests.
-  struct RuntimeStats {
-    std::uint64_t convert_cas_retries = 0;  // conversion CAS lost to a FAA
-    std::uint64_t shard_samples = 0;        // kShardSample events emitted
-  };
-  /// Epoch-stamped provisioning snapshot a restarted monitor recovers from
-  /// (DESIGN.md §15) — the threaded twin of core::QosMonitor::Checkpoint.
-  /// Conceptually lives in the registered control region (the
-  /// ThreadedFabric's shared memory), which is exactly what survives a
-  /// monitor *process* crash; the engine pointer stands in for the control
-  /// QP that outlives the monitor in the sim model.
-  struct Checkpoint {
-    struct Client {
-      ClientId id{};
-      std::int64_t reservation = 0;
-      std::int64_t limit = 0;
-      std::size_t slot = 0;
-      ThreadedEngine* engine = nullptr;
-    };
-    bool valid = false;
-    std::uint32_t epoch = 0;  // period the snapshot was taken at
-    std::int64_t reservation_sum = 0;
-    std::int64_t pool_word = 0;  // initial pool the epoch started with
-    std::int64_t capacity = 0;
-    std::vector<Client> clients;
-  };
-
-  using PeriodHook =
-      std::function<void(std::uint32_t, std::int64_t, std::int64_t)>;
-  /// (period, client, completed) for every fresh per-period client report
-  /// seen at calibration — the threaded run's per-client series source.
-  using ClientReportHook =
-      std::function<void(std::uint32_t, ClientId, std::int64_t)>;
+  using Stats = core::MonitorCore::Stats;
+  using RuntimeStats = core::MonitorCore::RuntimeStats;
+  using PeriodLedger = core::MonitorCore::PeriodLedger;
+  using Checkpoint = core::MonitorCore::Checkpoint;
+  using PeriodHook = core::MonitorCore::PeriodHook;
+  using ClientReportHook = core::MonitorCore::ClientReportHook;
 
   ThreadedMonitor(Clock& clock, obs::Recorder* recorder,
                   const core::QosConfig& config, ThreadedFabric& fabric,
                   double profiled_global_iops, double profiled_local_iops);
-  ~ThreadedMonitor();
+  ~ThreadedMonitor() override;
 
   ThreadedMonitor(const ThreadedMonitor&) = delete;
   ThreadedMonitor& operator=(const ThreadedMonitor&) = delete;
@@ -116,15 +75,12 @@ class ThreadedMonitor {
   Status ReleaseClient(ClientId client);
 
   /// Runtime reservation resize (the closed-loop controller's W1 action).
-  /// Validates against the client's limit and admission capacity, then
-  /// emits kReservationUpdate so the watchdog and audit re-baseline.
   Status UpdateReservation(ClientId client, std::int64_t reservation);
 
   /// Wires the closed-loop controller (may be null to unwire). PlanBoundary
-  /// runs under the monitor mutex at each boundary, right after the period
-  /// verdicts settle through the recorder tap; `readmit` (optional) is
-  /// called for kReadmit actions and must defer the actual re-admission —
-  /// it runs on the monitor's timer thread holding mu_.
+  /// runs under the monitor mutex at each boundary; `readmit` (optional)
+  /// must defer the actual re-admission — it runs on the monitor's timer
+  /// thread holding mu_.
   void SetController(core::control::QosController* controller,
                      std::function<void(ClientId)> readmit);
 
@@ -132,126 +88,107 @@ class ThreadedMonitor {
   void Start();
   void Stop();
 
-  /// Control-plane survivability (DESIGN.md §15), mirroring
-  /// core::QosMonitor::Crash/Recover on wall-clock threads. Crash() models
-  /// the monitor process dying: timers disarm, the live client table is
-  /// lost (the shared region — pool shards, report slots — and the
-  /// in-region checkpoint survive). Recover() restarts it immediately (the
-  /// caller owns the outage duration): provisioning state is rebuilt from
-  /// the last checkpoint, reconciled against the live report slots, a
-  /// RecoverySync handshake is delivered to every restored engine, and a
-  /// fresh period is provisioned — without closing the crashed period's
-  /// ledger entry (it stays UNCLOSED; conservation identities skip it).
-  /// Must not be called after Stop().
+  /// Control-plane survivability (DESIGN.md §15). Crash() disarms the
+  /// timers and drops the live client table; Recover() restarts from the
+  /// checkpoint immediately (the caller owns the outage duration). Must
+  /// not be called after Stop().
   void Crash();
   void Recover();
-  [[nodiscard]] bool Crashed() const;
-  [[nodiscard]] Checkpoint CheckpointSnapshot() const;
+  [[nodiscard]] bool Crashed() const {
+    return Locked([](const auto& c) { return c.Crashed(); });
+  }
+  [[nodiscard]] Checkpoint CheckpointSnapshot() const {
+    return Locked([](const auto& c) { return c.checkpoint(); });
+  }
 
-  [[nodiscard]] Stats StatsSnapshot() const;
-  [[nodiscard]] RuntimeStats RuntimeStatsSnapshot() const;
-  [[nodiscard]] std::vector<PeriodLedger> LedgerSnapshot() const;
+  [[nodiscard]] Stats StatsSnapshot() const {
+    return Locked([](const auto& c) { return c.stats(); });
+  }
+  [[nodiscard]] RuntimeStats RuntimeStatsSnapshot() const {
+    return Locked([](const auto& c) { return c.runtime_stats(); });
+  }
+  [[nodiscard]] std::vector<PeriodLedger> LedgerSnapshot() const {
+    return Locked([](const auto& c) { return c.ledger(); });
+  }
   /// Sum over all pool shards (diagnostic; the ledger never uses it).
   [[nodiscard]] std::int64_t GlobalPoolValue() const {
     return fabric_.LoadPoolSum();
   }
-  [[nodiscard]] std::int64_t PeriodCapacity() const;
-  [[nodiscard]] std::int64_t InitialPool() const;
-  [[nodiscard]] bool ReportingActive() const;
+  [[nodiscard]] std::int64_t PeriodCapacity() const {
+    return Locked([](const auto& c) { return c.PeriodCapacity(); });
+  }
+  [[nodiscard]] std::int64_t InitialPool() const {
+    return Locked([](const auto& c) { return c.InitialPool(); });
+  }
+  [[nodiscard]] bool ReportingActive() const {
+    return Locked([](const auto& c) { return c.ReportingActive(); });
+  }
   [[nodiscard]] const core::AdmissionController& admission() const {
-    return admission_;
+    return core_.admission();
   }
 
-  void SetPeriodHook(PeriodHook fn);
-  void SetClientReportHook(ClientReportHook fn);
-  void SetOverReserveCallback(std::function<void(ClientId)> fn);
-  void SetClientDeadCallback(std::function<void(ClientId)> fn);
+  void SetPeriodHook(PeriodHook fn) {
+    std::lock_guard lk(mu_);
+    core_.SetPeriodHook(std::move(fn));
+  }
+  void SetClientReportHook(ClientReportHook fn) {
+    std::lock_guard lk(mu_);
+    core_.SetClientReportHook(std::move(fn));
+  }
+  void SetOverReserveCallback(std::function<void(ClientId)> fn) {
+    std::lock_guard lk(mu_);
+    core_.SetOverReserveCallback(std::move(fn));
+  }
+  void SetClientDeadCallback(std::function<void(ClientId)> fn) {
+    std::lock_guard lk(mu_);
+    core_.SetClientDeadCallback(std::move(fn));
+  }
 
  private:
-  struct ClientEntry {
-    ClientId id;
-    std::int64_t reservation = 0;
-    std::int64_t limit = 0;
-    ThreadedEngine* engine = nullptr;
-    std::size_t slot = 0;
-    std::uint32_t underuse_streak = 0;
-    // Report-lease state: packed slot bytes at the last check and the
-    // number of consecutive checks they stayed identical.
-    std::uint64_t last_slot_raw = 0;
-    std::uint32_t lease_misses = 0;
-  };
+  // MonitorPort over ThreadedFabric.
+  std::int64_t Load(std::size_t shard) override {
+    return fabric_.LoadPool(shard);
+  }
+  std::int64_t Exchange(std::size_t shard, std::int64_t value) override {
+    return fabric_.ExchangePool(shard, value);
+  }
+  bool Cas(std::size_t shard, std::int64_t& expected,
+           std::int64_t desired) override {
+    return fabric_.CasPool(shard, expected, desired);
+  }
+  std::int64_t Add(std::size_t shard, std::int64_t delta) override {
+    return fabric_.AddPool(shard, delta);
+  }
+  std::uint64_t ReadSlot(std::size_t slot) override {
+    return fabric_.ReadSlot(slot).packed;
+  }
+  void PrimeSlot(std::size_t slot, std::uint64_t packed) override {
+    fabric_.PrimeSlot(slot, packed);
+  }
+  void Send(std::size_t slot, const core::MonitorMessage& msg) override;
+  SimTime Now() override { return now_; }
+  void Emit(obs::ActorKind kind, std::uint32_t actor, obs::EventType type,
+            std::uint32_t period, std::int64_t a, std::int64_t b,
+            std::int64_t c) override;
 
-  void PeriodTick();
-  void CheckTickFn();
-  void StartPeriodLocked(SimTime now);
-  void CaptureCheckpointLocked(SimTime now);
-  void CheckTickLocked(SimTime now);
-  void CheckLeasesLocked(SimTime now);
-  void DeclareDeadLocked(SimTime now, ClientId client);
-  void ConvertTokensLocked(SimTime now);
-  void RebalanceLocked(SimTime now);
-  void CalibrateLocked(SimTime now);
-  Status UpdateReservationLocked(SimTime now, ClientId client,
-                                 std::int64_t reservation);
-  void RunControlBoundaryLocked(SimTime now);
-  void ActivateReportingLocked(SimTime now, std::int64_t observed_pool);
-  /// Shard `shard`'s share of `total` under the monitor's even split.
-  [[nodiscard]] std::int64_t ShardShare(std::int64_t total,
-                                        std::size_t shard) const;
-  Status ReleaseClientLocked(SimTime now, ClientId client);
-  [[nodiscard]] std::size_t AllocateSlotLocked();
-  ClientEntry* FindClientLocked(ClientId client);
-  void EmitLocked(SimTime now, obs::EventType type, std::int64_t a = 0,
-                  std::int64_t b = 0, std::int64_t c = 0);
+  /// Locks the monitor and reads the clock once for the whole operation.
+  [[nodiscard]] std::unique_lock<std::mutex> Enter();
+  /// Reads the core under the mutex.
+  template <typename Fn>
+  std::invoke_result_t<Fn, const core::MonitorCore&> Locked(Fn fn) const {
+    std::lock_guard lk(mu_);
+    return fn(core_);
+  }
 
   Clock& clock_;
   obs::Recorder* recorder_;
-  core::QosConfig config_;
   ThreadedFabric& fabric_;
-  core::AdmissionController admission_;
-  std::unique_ptr<core::CapacityEstimator> estimator_;
 
   mutable std::mutex mu_;
-  std::vector<ClientEntry> clients_;
-  std::size_t next_slot_ = 0;
-  std::vector<std::size_t> retired_slots_;
-  std::vector<std::size_t> free_slots_;
-  Stats stats_;
-  RuntimeStats runtime_stats_;
-  bool running_ = false;
-  // Survivability state (DESIGN.md §15).
-  bool crashed_ = false;
-  /// First boundary after Recover(): provision fresh state only — no
-  /// calibration, no ledger close, no controller boundary, no slot
-  /// recycling (retired slots have not sat out a full boundary yet).
-  bool recovered_pending_ = false;
-  Checkpoint checkpoint_;
-  /// (id, slot) of every client live at the crash; recovery reconciles
-  /// the checkpoint against it so departed clients are not resurrected
-  /// and post-checkpoint admissions are released.
-  std::vector<std::pair<ClientId, std::size_t>> wreckage_;
-  SimTime period_start_time_ = 0;
-  std::int64_t period_capacity_ = 0;
-  std::int64_t initial_pool_ = 0;
-  bool reporting_active_ = false;
-  std::int64_t last_written_pool_ = 0;
-  std::deque<std::int64_t> recent_grants_;
-  std::vector<PeriodLedger> ledger_;
-  /// Per-shard last value the monitor wrote or witnessed; raw-difference
-  /// telescoping against it keeps the ledger's `granted` exact on the
-  /// shard sum across samples, conversions, rebalances and boundaries.
-  std::vector<std::int64_t> shard_last_pool_;
-  std::int64_t dead_completed_this_period_ = 0;
-  core::control::QosController* controller_ = nullptr;
-  std::function<void(ClientId)> readmit_cb_;
-  /// Latched by the controller's kForceConversion action: activate
-  /// reporting at every period start instead of waiting for S2, which can
-  /// never fire when the initial pool is zero (the W6 deadlock).
-  bool force_reporting_ = false;
-  PeriodHook period_hook_;
-  ClientReportHook client_report_hook_;
-  std::function<void(ClientId)> over_reserve_cb_;
-  std::function<void(ClientId)> client_dead_cb_;
+  SimTime now_ = 0;  // the clock reading of the operation holding mu_
+  core::MonitorCore core_;
+  // Engine per report slot (null until BindEngine).
+  std::array<ThreadedEngine*, core::MonitorCore::kMaxClients> engines_{};
 
   std::unique_ptr<PeriodicTimer> period_timer_;
   std::unique_ptr<PeriodicTimer> check_timer_;

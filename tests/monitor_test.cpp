@@ -8,6 +8,7 @@
 
 #include "core/monitor.hpp"
 #include "core/wire.hpp"
+#include "obs/trace.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/simulator.hpp"
 
@@ -316,6 +317,28 @@ TEST_F(MonitorTest, ReadmissionReplacesStaleIncarnation) {
   // corrupt it).
   EXPECT_NE(first.report_slot_addr, second.report_slot_addr);
   EXPECT_EQ(first.global_pool_addr, second.global_pool_addr);
+}
+
+TEST_F(MonitorTest, InvalidReadmissionLeavesTheLiveAdmissionIntact) {
+  obs::Recorder recorder(sim_);
+  obs::ScopedRecorder scoped(&recorder);
+  Admit(0, 30'000);
+  auto& cq = server_.CreateCq();
+  auto& qp = server_.CreateQp(cq, cq);
+  // A malformed re-admission under a live id is rejected before anything
+  // is released: the live incarnation keeps its reservation and slot.
+  const auto bad = monitor_->AdmitClient(MakeClientId(0), 100,
+                                         /*limit=*/50, qp);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  const auto reservation = monitor_->ReservationOf(MakeClientId(0));
+  ASSERT_TRUE(reservation.ok());
+  EXPECT_EQ(reservation.value(), 30'000);
+  EXPECT_EQ(monitor_->admission().TotalReserved(), 30'000);
+  EXPECT_EQ(monitor_->stats().readmissions, 0u);
+  for (const obs::TraceEvent& e :
+       recorder.ActorEvents(obs::ActorKind::kMonitor, 0)) {
+    EXPECT_NE(e.type, obs::EventType::kRelease);
+  }
 }
 
 TEST_F(MonitorTest, SlotsRecycleAcrossPeriodBoundaries) {

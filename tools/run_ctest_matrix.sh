@@ -45,6 +45,16 @@
 #                                          # failover changes (tsan covers
 #                                          # the threaded Crash/Recover
 #                                          # races)
+#   tools/run_ctest_matrix.sh asan-monitor tsan-monitor
+#                                          # focused entries: the asan/tsan
+#                                          # presets restricted to the
+#                                          # monitor-labelled suites
+#                                          # (monitor_test,
+#                                          # monitor_core_test,
+#                                          # runtime_stress_test) — the
+#                                          # gate for the shared monitor
+#                                          # protocol core and its two
+#                                          # runtime adapters
 #   tools/run_ctest_matrix.sh asan-simcore
 #                                          # focused entry: the asan preset
 #                                          # restricted to the simcore-
@@ -113,6 +123,12 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-survivability" ]]; then
     config_preset=tsan
     ctest_args=(-L survivability)
+  elif [[ "$preset" == "asan-monitor" ]]; then
+    config_preset=asan
+    ctest_args=(-L monitor)
+  elif [[ "$preset" == "tsan-monitor" ]]; then
+    config_preset=tsan
+    ctest_args=(-L monitor)
   elif [[ "$preset" == "asan-simcore" ]]; then
     config_preset=asan
     ctest_args=(-L simcore)

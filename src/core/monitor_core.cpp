@@ -93,25 +93,27 @@ Result<std::size_t> MonitorCore::AdmitClient(ClientId client,
     return ErrInvalidArgument("limit below reservation");
   }
   const bool readmission = FindClient(client) != nullptr;
-  if (readmission) {
-    // Re-admission handshake: a restarted client admits under its old id
-    // before the report lease caught its previous incarnation. Retire the
-    // stale entry first so neither its admission slot nor its report slot
-    // leaks.
-    const Status released = ReleaseClient(client);
-    HAECHI_ASSERT(released.ok());
-    ++stats_.readmissions;
-  }
-  if (clients_.size() >= kMaxClients) {
+  if (!readmission && clients_.size() >= kMaxClients) {
     return ErrResourceExhausted("monitor is at its client capacity");
   }
   if (free_slots_.empty() && next_slot_ >= kMaxClients) {
     return ErrResourceExhausted("all report slots consumed");
   }
-  if (auto s = admission_.Admit(client, reservation); !s.ok()) {
+  // A re-admission (a restarted client admitting under its old id before
+  // the report lease caught its previous incarnation) runs admission
+  // control with the live reservation credited, so one that does not fit
+  // leaves the live incarnation admitted.
+  if (auto s = readmission ? admission_.Update(client, reservation)
+                           : admission_.Admit(client, reservation);
+      !s.ok()) {
     Emit(EventType::kAdmitReject, static_cast<std::int64_t>(Raw(client)),
          reservation);
     return s;
+  }
+  if (readmission) {
+    // Retire the stale entry so its report slot does not leak.
+    RetireClient(client);
+    ++stats_.readmissions;
   }
   Emit(readmission ? EventType::kReadmit : EventType::kAdmit,
        static_cast<std::int64_t>(Raw(client)), reservation, limit);
@@ -135,15 +137,19 @@ void MonitorCore::OnChannelBound(ClientId client) {
 }
 
 Status MonitorCore::ReleaseClient(ClientId client) {
+  if (FindClient(client) == nullptr) return ErrNotFound("client not admitted");
+  RetireClient(client);
+  return admission_.Release(client);
+}
+
+void MonitorCore::RetireClient(ClientId client) {
   const auto it = std::ranges::find(clients_, client, &ClientEntry::id);
-  if (it == clients_.end()) return ErrNotFound("client not admitted");
   // Quarantine the slot until the next period boundary: a report WRITE the
   // departing client already has in flight must not land in a stranger's
   // recycled slot. Live slots are never compacted (address stability).
   retired_slots_.push_back(it->slot);
   clients_.erase(it);
   Emit(EventType::kRelease, static_cast<std::int64_t>(Raw(client)));
-  return admission_.Release(client);
 }
 
 std::size_t MonitorCore::AllocateSlot() {
@@ -419,17 +425,19 @@ void MonitorCore::Recover() {
   }
   if (checkpoint_.valid) {
     for (const auto& c : checkpoint_.clients) {
-      const bool live = std::ranges::any_of(
+      const auto live = std::ranges::find_if(
           wreckage_, [&](const auto& w) { return w.first == c.id; });
-      if (!live) continue;
+      if (live == wreckage_.end()) continue;
+      // The live slot, not the checkpointed one: a client re-admitted
+      // after the checkpoint writes its reports elsewhere.
       ClientEntry entry{.id = c.id,
                         .reservation = c.reservation,
                         .limit = c.limit,
-                        .slot = c.slot};
+                        .slot = live->second};
       // Live-slot reconciliation: adopt whatever the client wrote while
       // the monitor was down as the lease baseline, and count slots whose
       // period tag proves a report landed since the checkpoint.
-      entry.last_slot_raw = port_.ReadSlot(c.slot);
+      entry.last_slot_raw = port_.ReadSlot(entry.slot);
       entry.primed_slot_raw = entry.last_slot_raw;
       if (ReportPeriod(entry.last_slot_raw) ==
           (checkpoint_.epoch & kReportPeriodMask)) {

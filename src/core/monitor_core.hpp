@@ -342,6 +342,9 @@ class MonitorCore {
   void Rebalance();
   void Calibrate();
   [[nodiscard]] std::size_t AllocateSlot();
+  /// Drops an admitted client's entry and quarantines its slot (the
+  /// admission controller is the caller's business).
+  void RetireClient(ClientId client);
   [[nodiscard]] const ClientEntry* FindClient(ClientId client) const;
 
   MonitorPort& port_;

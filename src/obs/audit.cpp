@@ -75,12 +75,8 @@ struct EnginePeriod {
   std::int64_t faa_posted = 0;
   std::int64_t faa_done = 0;
   std::int64_t faa_discard = 0;
-  /// Tokens posted by done fetches that tagged their delta (c > 0 on
-  /// kTokenFetchDone — the threaded runtime's fetch-batched FAAs).
+  /// Tokens posted by done fetches (each kTokenFetchDone's c).
   std::int64_t tokens_done = 0;
-  /// Done fetches with no per-event delta (sim traces): each drew the
-  /// kRunConfig token batch.
-  std::int64_t faa_done_untagged = 0;
   std::vector<std::int64_t> report_residuals;
 };
 
@@ -483,11 +479,7 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
           break;
         case EventType::kTokenFetchDone:
           ++ep.faa_done;
-          if (e.c > 0) {
-            ep.tokens_done += e.c;
-          } else {
-            ++ep.faa_done_untagged;
-          }
+          ep.tokens_done += e.c;
           break;
         case EventType::kTokenDiscard:
           ++ep.faa_discard;
@@ -583,9 +575,8 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
     if (report.clean) {
       // Fault-free: every posted fetch completes in its own period, so the
       // pool decrease each monitor observed must equal the sum of the
-      // tokens the fetches against *that node* posted — each fetch's own
-      // tagged delta (fetch-batched threaded runs) or B per untagged
-      // fetch (sim).
+      // tokens the fetches against *that node* posted (each fetch's own
+      // tagged delta).
       for (AuditPeriod& p : report.periods) {
         std::int64_t expected = 0;
         for (const auto& [actor, periods] : engines) {
@@ -593,8 +584,7 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
           const auto it = periods.find(p.period);
           if (it != periods.end()) {
             p.faa_done += it->second.faa_done;
-            expected += it->second.tokens_done +
-                        token_batch * it->second.faa_done_untagged;
+            expected += it->second.tokens_done;
           }
         }
         if (!p.closed) continue;
@@ -634,13 +624,13 @@ AuditReport AuditTrace(const std::vector<TraceEvent>& events,
         for (const TraceEvent& e : stream) {
           if (e.type == EventType::kTokenFetch) {
             ++posted;
-            upper += e.a > 0 ? e.a : token_batch;
+            upper += e.a;
           }
           if ((e.type == EventType::kTokenFetchDone ||
                e.type == EventType::kTokenDiscard) &&
               e.time <= last_pool_observation && !in_outage(e.time)) {
             ++done_before_close;
-            lower += e.c > 0 ? e.c : token_batch;
+            lower += e.c;
           }
         }
       }

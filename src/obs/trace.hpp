@@ -96,14 +96,13 @@ enum class EventType : std::uint16_t {
   kEnginePeriodStart = 32,  // a=reservation tokens b=limit
   kTokenDecay,              // a=surrendered tokens b=new bound X
   kTokenFetch,              // a=tokens posted per FAA (B, or B*fetch_batch)
-                            // b=shard (threaded runtime)
+                            // b=shard
   kTokenFetchDone,          // a=pool value seen b=acquired c=tokens posted
-                            // (c=0 on sim traces: fall back to kRunConfig.b)
   kTokenFetchFail,          // a=backoff ns (post or completion failure)
-  kTokenDiscard,            // a=pool value seen b=would-be acquired (stale)
-                            // c=tokens posted (0: fall back to kRunConfig.b)
+  kTokenDiscard,            // a=pool value seen b=0 c=tokens posted (the
+                            // period rolled or the engine went degraded)
   kPoolEmpty,               // FAA returned nothing; retry armed (step T4)
-                            // b=shard (threaded runtime)
+                            // b=shard
   kReportWrite,             // a=residual claims b=completed c=seq
   kEngineStop,              // engine quiesced (crash/teardown)
   kFaaExhausted,            // FAA retry backoff hit its configured maximum

@@ -9,7 +9,9 @@
 
 #include "core/engine.hpp"
 #include "core/wire.hpp"
+#include "obs/trace.hpp"
 #include "rdma/fabric.hpp"
+#include "rdma/fault.hpp"
 #include "sim/simulator.hpp"
 
 namespace haechi::core {
@@ -21,49 +23,57 @@ class EngineTest : public ::testing::Test {
       : fabric_(sim_, MakeParams(), 5),
         server_(fabric_.AddNode("server", rdma::NodeRole::kData)),
         client_(fabric_.AddNode("client")),
-        control_block_(16 * sizeof(std::uint64_t)),
-        qos_cq_(client_.CreateCq()),
-        qos_srv_cq_(server_.CreateCq()),
-        ctrl_cq_(client_.CreateCq()),
-        ctrl_recv_cq_(client_.CreateCq()),
-        monitor_cq_(server_.CreateCq()),
-        qos_qp_(client_.CreateQp(qos_cq_, qos_cq_)),
-        qos_srv_qp_(server_.CreateQp(qos_srv_cq_, qos_srv_cq_)),
-        ctrl_qp_(client_.CreateQp(ctrl_cq_, ctrl_recv_cq_)),
-        monitor_qp_(server_.CreateQp(monitor_cq_, monitor_cq_)) {
-    fabric_.Connect(qos_qp_, qos_srv_qp_);
-    fabric_.Connect(ctrl_qp_, monitor_qp_);
+        control_block_(16 * sizeof(std::uint64_t)) {
     control_mr_ = &server_.pd().Register(
         std::span<std::byte>(control_block_),
         rdma::access::kLocalRead | rdma::access::kLocalWrite |
             rdma::access::kRemoteRead | rdma::access::kRemoteWrite |
             rdma::access::kRemoteAtomic);
-    monitor_cq_.SetNotify([](const rdma::WorkCompletion&) {});
 
     config_.token_batch = 10;
     config_.max_backend_outstanding = 1u << 20;
 
-    QosWiring wiring;
-    wiring.global_pool_addr = control_mr_->remote_addr();
-    wiring.global_pool_rkey = control_mr_->rkey();
-    wiring.report_slot_addr =
+    wiring_.global_pool_addr = control_mr_->remote_addr();
+    wiring_.global_pool_rkey = control_mr_->rkey();
+    wiring_.report_slot_addr =
         control_mr_->remote_addr() + sizeof(std::uint64_t);
-    wiring.report_slot_rkey = control_mr_->rkey();
-    engine_ = std::make_unique<ClientQosEngine>(
-        sim_, MakeClientId(0), config_, client_, qos_qp_, ctrl_qp_, wiring);
-    engine_->SetIoBackend(
-        [this](std::uint64_t, bool, ClientQosEngine::CompleteFn done) {
-          // An instant backend: completes one simulated microsecond later.
-          ++backend_calls_;
-          sim_.ScheduleAfter(Micros(1), [done = std::move(done)] { done(); });
-          return Status::Ok();
-        });
+    wiring_.report_slot_rkey = control_mr_->rkey();
+    engine_ = MakeEngine(config_, MakeClientId(0), wiring_);
   }
 
   static net::ModelParams MakeParams() {
     net::ModelParams params;
     params.capacity_scale = 0.02;
     return params;
+  }
+
+  /// An engine on fresh QoS and control channels, with an instant backend
+  /// (completes one simulated microsecond later). The control channel's
+  /// server end becomes the one SendPeriodStart and friends post on.
+  std::unique_ptr<ClientQosEngine> MakeEngine(const QosConfig& config,
+                                              ClientId id,
+                                              const QosWiring& wiring) {
+    auto& qos_cq = client_.CreateCq();
+    auto& qos_srv_cq = server_.CreateCq();
+    auto& qos_qp = client_.CreateQp(qos_cq, qos_cq);
+    auto& qos_srv_qp = server_.CreateQp(qos_srv_cq, qos_srv_cq);
+    fabric_.Connect(qos_qp, qos_srv_qp);
+    auto& ctrl_cq = client_.CreateCq();
+    auto& ctrl_recv_cq = client_.CreateCq();
+    auto& monitor_cq = server_.CreateCq();
+    auto& ctrl_qp = client_.CreateQp(ctrl_cq, ctrl_recv_cq);
+    monitor_qp_ = &server_.CreateQp(monitor_cq, monitor_cq);
+    fabric_.Connect(ctrl_qp, *monitor_qp_);
+    monitor_cq.SetNotify([](const rdma::WorkCompletion&) {});
+    auto engine = std::make_unique<ClientQosEngine>(sim_, id, config, client_,
+                                                    qos_qp, ctrl_qp, wiring);
+    engine->SetIoBackend(
+        [this](std::uint64_t, bool, ClientQosEngine::CompleteFn done) {
+          ++backend_calls_;
+          sim_.ScheduleAfter(Micros(1), [done = std::move(done)] { done(); });
+          return Status::Ok();
+        });
+    return engine;
   }
 
   void SetPool(std::int64_t tokens) {
@@ -82,27 +92,29 @@ class EngineTest : public ::testing::Test {
     return raw;
   }
 
+  template <typename Msg>
+  void SendCtrl(const Msg& msg) {
+    ASSERT_TRUE(monitor_qp_
+                    ->PostSend(next_send_id_++,
+                               std::span<const std::byte>(
+                                   reinterpret_cast<const std::byte*>(&msg),
+                                   sizeof(msg)))
+                    .ok());
+  }
+
   void SendPeriodStart(std::uint32_t period, std::int64_t tokens,
                        std::int64_t limit = 0) {
     PeriodStartMsg msg;
     msg.period = period;
     msg.reservation_tokens = tokens;
     msg.limit = limit;
-    ASSERT_TRUE(monitor_qp_
-                    .PostSend(1, std::span<const std::byte>(
-                                     reinterpret_cast<const std::byte*>(&msg),
-                                     sizeof(msg)))
-                    .ok());
+    SendCtrl(msg);
   }
 
   void SendReportRequest(std::uint32_t period) {
     ReportRequestMsg msg;
     msg.period = period;
-    ASSERT_TRUE(monitor_qp_
-                    .PostSend(2, std::span<const std::byte>(
-                                     reinterpret_cast<const std::byte*>(&msg),
-                                     sizeof(msg)))
-                    .ok());
+    SendCtrl(msg);
   }
 
   // Completion callbacks fire from simulator events long after SubmitMany
@@ -120,16 +132,10 @@ class EngineTest : public ::testing::Test {
   rdma::Node& client_;
   std::vector<std::byte> control_block_;
   const rdma::MemoryRegion* control_mr_ = nullptr;
-  rdma::CompletionQueue& qos_cq_;
-  rdma::CompletionQueue& qos_srv_cq_;
-  rdma::CompletionQueue& ctrl_cq_;
-  rdma::CompletionQueue& ctrl_recv_cq_;
-  rdma::CompletionQueue& monitor_cq_;
-  rdma::QueuePair& qos_qp_;
-  rdma::QueuePair& qos_srv_qp_;
-  rdma::QueuePair& ctrl_qp_;
-  rdma::QueuePair& monitor_qp_;
+  rdma::QueuePair* monitor_qp_ = nullptr;
+  std::uint64_t next_send_id_ = 1;
   QosConfig config_;
+  QosWiring wiring_;
   std::unique_ptr<ClientQosEngine> engine_;
   int backend_calls_ = 0;
   int submit_completed_ = 0;
@@ -155,36 +161,19 @@ TEST_F(EngineTest, PeriodStartReleasesQueuedWork) {
 }
 
 TEST_F(EngineTest, SubmitWithoutBackendFails) {
-  ClientQosEngine bare(sim_, MakeClientId(1), config_, client_, qos_qp_,
-                       ctrl_qp_, QosWiring{});
-  EXPECT_EQ(bare.Submit(0, [] {}).code(), StatusCode::kFailedPrecondition);
+  auto bare = MakeEngine(config_, MakeClientId(1), QosWiring{});
+  bare->SetIoBackend(nullptr);
+  EXPECT_EQ(bare->Submit(0, [] {}).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(EngineTest, QueueBoundRejects) {
   QosConfig tiny = config_;
   tiny.max_engine_queue = 2;
-  // Rebuild the engine with the tiny queue (fresh QPs to avoid CQ clashes).
-  auto& cq_a = client_.CreateCq();
-  auto& cq_b = server_.CreateCq();
-  auto& qp_a = client_.CreateQp(cq_a, cq_a);
-  auto& qp_b = server_.CreateQp(cq_b, cq_b);
-  fabric_.Connect(qp_a, qp_b);
-  auto& ctrl_a_cq = client_.CreateCq();
-  auto& ctrl_a_recv = client_.CreateCq();
-  auto& ctrl_b_cq = server_.CreateCq();
-  auto& ctrl_a = client_.CreateQp(ctrl_a_cq, ctrl_a_recv);
-  auto& ctrl_b = server_.CreateQp(ctrl_b_cq, ctrl_b_cq);
-  fabric_.Connect(ctrl_a, ctrl_b);
-  ClientQosEngine engine(sim_, MakeClientId(2), tiny, client_, qp_a, ctrl_a,
-                         QosWiring{});
-  engine.SetIoBackend(
-      [](std::uint64_t, bool, ClientQosEngine::CompleteFn) {
-        return Status::Ok();
-      });
-  EXPECT_TRUE(engine.Submit(0, [] {}).ok());
-  EXPECT_TRUE(engine.Submit(1, [] {}).ok());
-  EXPECT_EQ(engine.Submit(2, [] {}).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(engine.stats().rejected_submits, 1u);
+  auto engine = MakeEngine(tiny, MakeClientId(2), QosWiring{});
+  EXPECT_TRUE(engine->Submit(0, [] {}).ok());
+  EXPECT_TRUE(engine->Submit(1, [] {}).ok());
+  EXPECT_EQ(engine->Submit(2, [] {}).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine->stats().rejected_submits, 1u);
 }
 
 TEST_F(EngineTest, ExhaustedReservationDrawsFromPool) {
@@ -276,11 +265,7 @@ TEST_F(EngineTest, IdleTokensDecayLinearly) {
 TEST_F(EngineTest, OverReserveHintIsCounted) {
   OverReserveHintMsg msg;
   msg.consecutive_periods = 5;
-  ASSERT_TRUE(monitor_qp_
-                  .PostSend(3, std::span<const std::byte>(
-                                   reinterpret_cast<const std::byte*>(&msg),
-                                   sizeof(msg)))
-                  .ok());
+  SendCtrl(msg);
   sim_.Run();
   EXPECT_EQ(engine_->stats().over_reserve_hints, 1u);
 }
@@ -301,6 +286,65 @@ TEST_F(EngineTest, WritesFlowThroughTheSameTokenPath) {
   sim_.RunUntil(Millis(2));
   EXPECT_EQ(writes_seen, 2);
   EXPECT_EQ(engine_->stats().tokens_from_reservation, 3);
+}
+
+TEST_F(EngineTest, FetchLandingAfterDegradedEntryIsDiscarded) {
+  obs::Recorder recorder(sim_);
+  obs::ScopedRecorder scoped(&recorder);
+  // The one token fetch of period 1 is held on the wire for 2 s, well past
+  // the 1.5-period grace window: by the time it lands the monitor has been
+  // silent long enough for the engine to go degraded, and a degraded
+  // engine must not spend the (dead) monitor's pool.
+  rdma::FaultRule hold;
+  hold.action = rdma::FaultAction::kDelay;
+  hold.delay = Seconds(2);
+  hold.opcode = rdma::Opcode::kFetchAdd;
+  hold.max_triggers = 1;
+  rdma::FaultPlan plan;
+  plan.Add(hold);
+  fabric_.InstallFaultPlan(plan);
+
+  SetPool(100);
+  SendPeriodStart(1, /*tokens=*/0);
+  engine_->Submit(0, [] {});  // forces the fetch
+  sim_.RunUntil(Seconds(3));
+  EXPECT_TRUE(engine_->Degraded());
+  EXPECT_EQ(engine_->stats().faa_ops, 1u);
+  EXPECT_EQ(Pool(), 90);  // the FAA did draw from the pool word...
+  EXPECT_EQ(engine_->PoolTokens(), 0);  // ...but nothing was credited
+  EXPECT_EQ(engine_->stats().tokens_from_pool, 0);
+  EXPECT_EQ(backend_calls_, 0);
+  EXPECT_EQ(engine_->QueueDepth(), 1u);
+#if HAECHI_TRACE_ENABLED
+  int discards = 0;
+  for (const obs::TraceEvent& e :
+       recorder.ActorEvents(obs::ActorKind::kEngine, 0)) {
+    EXPECT_NE(e.type, obs::EventType::kTokenFetchDone);
+    if (e.type == obs::EventType::kTokenDiscard) {
+      ++discards;
+      EXPECT_EQ(e.period, 1u);
+      EXPECT_EQ(e.a, 100);  // the pool word the FAA saw
+      EXPECT_EQ(e.c, 10);   // the tokens it posted
+    }
+  }
+  EXPECT_EQ(discards, 1);
+#endif
+}
+
+TEST_F(EngineTest, FetchBatchDrawsThatManyTokenBatchesPerFaa) {
+  QosConfig batched = config_;
+  batched.fetch_batch = 4;
+  engine_ = MakeEngine(batched, MakeClientId(0), wiring_);
+  SetPool(100);
+  SendPeriodStart(1, /*tokens=*/0);
+  SubmitMany(3);
+  sim_.RunUntil(Millis(5));
+  // One FAA drew 4 * B = 40 tokens: three funded I/Os, 37 held locally.
+  EXPECT_EQ(engine_->stats().faa_ops, 1u);
+  EXPECT_EQ(Pool(), 60);
+  EXPECT_EQ(backend_calls_, 3);
+  EXPECT_EQ(engine_->stats().tokens_from_pool, 3);
+  EXPECT_EQ(engine_->PoolTokens(), 37);
 }
 
 }  // namespace

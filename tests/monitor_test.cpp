@@ -341,6 +341,62 @@ TEST_F(MonitorTest, InvalidReadmissionLeavesTheLiveAdmissionIntact) {
   }
 }
 
+TEST_F(MonitorTest, OversizedReadmissionLeavesTheLiveAdmissionIntact) {
+  obs::Recorder recorder(sim_);
+  obs::ScopedRecorder scoped(&recorder);
+  const QosWiring live = Admit(0, 30'000);
+  auto& cq = server_.CreateCq();
+  auto& qp = server_.CreateQp(cq, cq);
+  // 60'000 exceeds the 50'000 local capacity even with the live 30'000
+  // credited back: the re-admission is refused and the live incarnation
+  // keeps its admission, reservation and slot.
+  const auto big = monitor_->AdmitClient(MakeClientId(0), 60'000,
+                                         /*limit=*/0, qp);
+  EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(monitor_->admission().IsAdmitted(MakeClientId(0)));
+  EXPECT_EQ(monitor_->admission().TotalReserved(), 30'000);
+  EXPECT_EQ(monitor_->stats().readmissions, 0u);
+  const auto reservation = monitor_->ReservationOf(MakeClientId(0));
+  ASSERT_TRUE(reservation.ok());
+  EXPECT_EQ(reservation.value(), 30'000);
+  WriteReport(live, 0, /*residual=*/5, /*completed=*/41);
+  EXPECT_EQ(monitor_->LastCompleted(MakeClientId(0)), 41u);
+  for (const obs::TraceEvent& e :
+       recorder.ActorEvents(obs::ActorKind::kMonitor, 0)) {
+    EXPECT_NE(e.type, obs::EventType::kRelease);
+  }
+  // With a second client holding 40'000, a 45'000 re-admission fits only
+  // because the live 30'000 is credited back; it replaces, not stacks.
+  Admit(1, 40'000);
+  EXPECT_TRUE(
+      monitor_->AdmitClient(MakeClientId(0), 45'000, /*limit=*/0, qp).ok());
+  EXPECT_EQ(monitor_->admission().TotalReserved(), 85'000);
+  EXPECT_EQ(monitor_->stats().readmissions, 1u);
+}
+
+TEST_F(MonitorTest, RecoveryRestoresAReadmittedClientAtItsLiveSlot) {
+  const QosWiring checkpointed = Admit(0, 20'000);
+  monitor_->Start(0);
+  // The period-2 boundary checkpoints client 0 at its first slot.
+  sim_.RunUntil(Seconds(1) + Millis(10));
+  ASSERT_TRUE(monitor_->checkpoint().valid);
+  // The client restarts and re-admits before the next checkpoint; the old
+  // slot is quarantined, so the new incarnation reports elsewhere.
+  const QosWiring live = Admit(0, 20'000);
+  ASSERT_NE(live.report_slot_addr, checkpointed.report_slot_addr);
+  monitor_->Crash();
+  monitor_->Recover(sim_.Now() + Millis(100));
+  sim_.RunUntil(sim_.Now() + Millis(200));
+  ASSERT_FALSE(monitor_->Crashed());
+  // The restored entry reads the slot the engine writes.
+  WriteReport(live, monitor_->CurrentPeriod(), /*residual=*/3,
+              /*completed=*/77);
+  WriteReport(checkpointed, monitor_->CurrentPeriod(), /*residual=*/0,
+              /*completed=*/0);
+  EXPECT_EQ(monitor_->LastCompleted(MakeClientId(0)), 77u);
+  EXPECT_TRUE(monitor_->HasFreshReport(MakeClientId(0)));
+}
+
 TEST_F(MonitorTest, SlotsRecycleAcrossPeriodBoundaries) {
   // 120 admit/release cycles against 64 physical slots: retired slots are
   // quarantined for one period, then recycled — churn must never exhaust

@@ -55,6 +55,16 @@
 #                                          # gate for the shared monitor
 #                                          # protocol core and its two
 #                                          # runtime adapters
+#   tools/run_ctest_matrix.sh asan-engine tsan-engine
+#                                          # focused entries: the asan/tsan
+#                                          # presets restricted to the
+#                                          # engine-labelled suites
+#                                          # (engine_test,
+#                                          # engine_core_test,
+#                                          # runtime_diff_test) — the gate
+#                                          # for the shared engine protocol
+#                                          # core and its two runtime
+#                                          # adapters
 #   tools/run_ctest_matrix.sh asan-simcore
 #                                          # focused entry: the asan preset
 #                                          # restricted to the simcore-
@@ -129,6 +139,12 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-monitor" ]]; then
     config_preset=tsan
     ctest_args=(-L monitor)
+  elif [[ "$preset" == "asan-engine" ]]; then
+    config_preset=asan
+    ctest_args=(-L engine)
+  elif [[ "$preset" == "tsan-engine" ]]; then
+    config_preset=tsan
+    ctest_args=(-L engine)
   elif [[ "$preset" == "asan-simcore" ]]; then
     config_preset=asan
     ctest_args=(-L simcore)

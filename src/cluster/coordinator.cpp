@@ -208,6 +208,7 @@ void ClusterCoordinator::Rebalance() {
     const auto target = workload::WeightedShare(client.reservation, weights);
 
     // 3. Apply decreases first (freeing per-node headroom), then increases.
+    const std::vector<std::int64_t> before = client.split;
     std::uint64_t moved = 0;
     std::uint64_t rejected = 0;
     for (int pass = 0; pass < 2; ++pass) {
@@ -243,6 +244,20 @@ void ClusterCoordinator::Rebalance() {
           admission.AggregateCapacity() - admission.TotalReserved(),
           admission.LocalCapacity() - client.split[d]);
       const std::int64_t add = std::min(shortfall, headroom);
+      if (add <= 0) continue;
+      const Status s = monitors_[d]->UpdateReservation(
+          client.id, client.split[d] + add);
+      if (s.ok()) {
+        client.split[d] += add;
+        shortfall -= add;
+      }
+    }
+    //    What no active node takes goes back where it came from, as
+    //    LeaveNode parks it: a drained inactive node regains the share it
+    //    held (nothing else can claim its headroom, since inactive nodes
+    //    receive no increases), and the next rebalance retries the drain.
+    for (std::size_t d = 0; d < nodes && shortfall > 0; ++d) {
+      const std::int64_t add = std::min(shortfall, before[d] - client.split[d]);
       if (add <= 0) continue;
       const Status s = monitors_[d]->UpdateReservation(
           client.id, client.split[d] + add);

@@ -1,16 +1,17 @@
 #include "harness/cluster_experiment.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "obs/export.hpp"
 
 namespace haechi::harness {
 
 ClusterExperiment::ClusterExperiment(ClusterExperimentConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      run_("cluster experiment", config_.trace, config_.watchdog,
+           config_.control) {
   HAECHI_EXPECTS(config_.data_nodes >= 1);
   HAECHI_EXPECTS(!config_.tenants.empty());
   HAECHI_EXPECTS(!config_.clients.empty());
@@ -79,80 +80,47 @@ void ClusterExperiment::Build() {
     monitor->SetPeriodHook([this, d, monitor, prefix](
                                std::uint32_t period, std::int64_t completions,
                                std::int64_t estimate) {
-      if (d == 0) {
-        // Scripted control-api swaps land on node 0's boundary callback, so
-        // the same boundary's PlanBoundary already sees the new policy.
-        while (control_api_next_ < config_.control.api.size() &&
-               config_.control.api[control_api_next_].first <= period) {
-          const auto swap = config_.control.api[control_api_next_++];
-          if (controller_ != nullptr) {
-            controller_->SetPolicy(swap.second);
-            HAECHI_TRACE_EVENT(
-                obs::ActorKind::kHarness, 0,
-                obs::EventType::kControllerConfig, period,
-                static_cast<std::int64_t>(swap.second),
-                static_cast<std::int64_t>(controller_->config().rules),
-                static_cast<std::int64_t>(
-                    controller_->config().quiet_periods));
-          }
-        }
-      }
-      metrics_.Add(prefix + "completions", completions);
-      metrics_.Set(prefix + "capacity_estimate",
-                   static_cast<double>(estimate));
-      metrics_.Set(prefix + "initial_pool",
-                   static_cast<double>(monitor->InitialPool()));
-      metrics_.Set(prefix + "reclaimed_tokens",
-                   static_cast<double>(monitor->stats().reclaimed_tokens));
+      // Node 0 hosts the control boundary (see SetController below).
+      if (d == 0) run_.OnBoundary(period);
+      obs::MetricsRegistry& metrics = run_.metrics();
+      metrics.Add(prefix + "completions", completions);
+      metrics.Set(prefix + "capacity_estimate", static_cast<double>(estimate));
+      metrics.Set(prefix + "initial_pool",
+                  static_cast<double>(monitor->InitialPool()));
+      metrics.Set(prefix + "reclaimed_tokens",
+                  static_cast<double>(monitor->stats().reclaimed_tokens));
       if (d + 1 == config_.data_nodes) {
         const auto& cstats = coordinator_->stats();
         const auto& ledger = coordinator_->borrow_ledger();
-        metrics_.Set("cluster.borrow_granted",
-                     static_cast<double>(ledger.TotalGranted()));
-        metrics_.Set("cluster.borrow_repaid",
-                     static_cast<double>(ledger.TotalRepaid()));
-        metrics_.Set("cluster.borrow_outstanding",
-                     static_cast<double>(ledger.TotalOutstanding()));
-        metrics_.Set("cluster.borrow_requests",
-                     static_cast<double>(cstats.borrow_requests));
-        metrics_.Set("cluster.stale_reports",
-                     static_cast<double>(cstats.stale_reports));
-        metrics_.Set("cluster.rebalances",
-                     static_cast<double>(cstats.rebalances));
-        metrics_.Set("cluster.tokens_moved",
-                     static_cast<double>(cstats.tokens_moved));
-        metrics_.SnapshotPeriod(period);
+        metrics.Set("cluster.borrow_granted",
+                    static_cast<double>(ledger.TotalGranted()));
+        metrics.Set("cluster.borrow_repaid",
+                    static_cast<double>(ledger.TotalRepaid()));
+        metrics.Set("cluster.borrow_outstanding",
+                    static_cast<double>(ledger.TotalOutstanding()));
+        metrics.Set("cluster.borrow_requests",
+                    static_cast<double>(cstats.borrow_requests));
+        metrics.Set("cluster.stale_reports",
+                    static_cast<double>(cstats.stale_reports));
+        metrics.Set("cluster.rebalances",
+                    static_cast<double>(cstats.rebalances));
+        metrics.Set("cluster.tokens_moved",
+                    static_cast<double>(cstats.tokens_moved));
+        metrics.SnapshotPeriod(period);
       }
     });
   }
   for (std::size_t d = 0; d < config_.data_nodes; ++d) {
-    [[maybe_unused]] const auto& admission = monitors_[d]->admission();
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(d),
-                       obs::EventType::kNodeCapacity, 0,
-                       static_cast<std::uint64_t>(d),
-                       admission.AggregateCapacity(),
-                       admission.LocalCapacity());
+    const auto& admission = monitors_[d]->admission();
+    run_.Emit(obs::EventType::kNodeCapacity, static_cast<std::uint32_t>(d),
+              static_cast<std::int64_t>(d), admission.AggregateCapacity(),
+              admission.LocalCapacity());
   }
 
-  if (controller_ != nullptr) {
-    for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-      const ClusterClientSpec& spec = config_.clients[i];
-      std::int64_t demand = 0;
-      for (const auto per_node : spec.demand_per_node) demand += per_node;
-      controller_->SetClientSpec(static_cast<std::uint32_t>(i),
-                                 spec.reservation, spec.limit, demand);
-      const auto cls = config_.control.classes.find(i);
-      if (cls != config_.control.classes.end()) {
-        controller_->SetClientClass(static_cast<std::uint32_t>(i),
-                                    cls->second);
-      }
-    }
-    // Node 0 hosts the control boundary (the watchdog follows node 0's
-    // pool in cluster mode); no readmit path — the coordinator's purge
-    // machinery owns cluster-wide client death.
-    monitors_[0]->SetController(controller_.get(), nullptr);
-  }
+  // Node 0 hosts the control boundary (the watchdog follows node 0's pool
+  // in cluster mode); no readmit path — the coordinator's purge machinery
+  // owns cluster-wide client death.
+  monitors_[0]->SetController(run_.controller(), nullptr);
 
   for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
     const ClusterTenantSpec& tenant = config_.tenants[t];
@@ -160,14 +128,12 @@ void ClusterExperiment::Build() {
         coordinator_->AddTenant(static_cast<cluster::TenantId>(t),
                                 tenant.reservation, tenant.limit);
     HAECHI_ASSERT(added.ok());
-    std::uint64_t members = 0;
-    for (const auto& spec : config_.clients) {
-      if (spec.tenant == t) ++members;
-    }
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(t),
-                       obs::EventType::kTenantSpec, 0, tenant.reservation,
-                       tenant.limit, members);
+    const auto members = std::count_if(
+        config_.clients.begin(), config_.clients.end(),
+        [t](const ClusterClientSpec& spec) { return spec.tenant == t; });
+    run_.Emit(obs::EventType::kTenantSpec, static_cast<std::uint32_t>(t),
+              tenant.reservation, tenant.limit,
+              static_cast<std::int64_t>(members));
   }
 
   kv_clients_.resize(config_.clients.size());
@@ -185,15 +151,10 @@ void ClusterExperiment::Build() {
     std::vector<rdma::QueuePair*> ctrl_srv_qps;
     std::vector<rdma::QueuePair*> ctrl_qps;
     for (std::size_t d = 0; d < config_.data_nodes; ++d) {
-      rdma::Node& data_node = fabric_->node(d);
-      auto& ctrl_cq = client_node.CreateCq();
-      auto& ctrl_recv_cq = client_node.CreateCq();
-      auto& ctrl_srv_cq = data_node.CreateCq();
-      auto& ctrl_qp = client_node.CreateQp(ctrl_cq, ctrl_recv_cq);
-      auto& ctrl_srv_qp = data_node.CreateQp(ctrl_srv_cq, ctrl_srv_cq);
-      fabric_->Connect(ctrl_qp, ctrl_srv_qp);
-      ctrl_qps.push_back(&ctrl_qp);
-      ctrl_srv_qps.push_back(&ctrl_srv_qp);
+      const auto ctrl = fabric_->ConnectNew(client_node, fabric_->node(d),
+                                            {.client_recv_cq = true});
+      ctrl_qps.push_back(&ctrl.client);
+      ctrl_srv_qps.push_back(&ctrl.server);
     }
     auto wirings = coordinator_->AdmitClient(
         static_cast<cluster::TenantId>(spec.tenant), client_id,
@@ -203,34 +164,24 @@ void ClusterExperiment::Build() {
     for (std::size_t d = 0; d < config_.data_nodes; ++d) {
       rdma::Node& data_node = fabric_->node(d);
 
-      auto& data_cq = client_node.CreateCq();
-      auto& data_srv_cq = data_node.CreateCq();
-      auto& data_qp = client_node.CreateQp(data_cq, data_cq, 1u << 22);
-      auto& data_srv_qp = data_node.CreateQp(data_srv_cq, data_srv_cq);
-      fabric_->Connect(data_qp, data_srv_qp);
+      const auto data = fabric_->ConnectNew(client_node, data_node,
+                                            {.client_send_depth = 1u << 22});
       kv_clients_[i].push_back(std::make_unique<kvstore::KvClient>(
-          client_node, data_qp, servers_[d]->view(),
+          client_node, data.client, servers_[d]->view(),
           kvstore::KvClient::Config{}));
-
-      auto& qos_cq = client_node.CreateCq();
-      auto& qos_srv_cq = data_node.CreateCq();
-      auto& qos_qp = client_node.CreateQp(qos_cq, qos_cq);
-      auto& qos_srv_qp = data_node.CreateQp(qos_srv_cq, qos_srv_cq);
-      fabric_->Connect(qos_qp, qos_srv_qp);
+      const auto qos = fabric_->ConnectNew(client_node, data_node);
 
       auto engine = std::make_unique<core::ClientQosEngine>(
-          sim_, client_id, config_.qos, client_node, qos_qp, *ctrl_qps[d],
+          sim_, client_id, config_.qos, client_node, qos.client, *ctrl_qps[d],
           wirings.value()[d]);
       // D engines share the client id; give each its own trace actor (and
       // publish the binding) so the per-actor seq streams stay dense.
       const auto engine_actor =
           static_cast<std::uint32_t>(i * config_.data_nodes + d);
       engine->SetTraceActor(engine_actor);
-      HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, engine_actor,
-                         obs::EventType::kEngineBinding, 0,
-                         static_cast<std::uint64_t>(i),
-                         static_cast<std::uint64_t>(d),
-                         static_cast<std::uint64_t>(spec.tenant));
+      run_.Emit(obs::EventType::kEngineBinding, engine_actor,
+                static_cast<std::int64_t>(i), static_cast<std::int64_t>(d),
+                static_cast<std::int64_t>(spec.tenant));
       kvstore::KvClient* kv = kv_clients_[i][d].get();
       engine->SetIoBackend(
           [kv](std::uint64_t key, bool /*is_write*/,
@@ -255,7 +206,7 @@ void ClusterExperiment::Build() {
               std::uint64_t key, bool /*is_write*/,
               workload::DemandGenerator::CompleteFn cb) {
             auto counted = [this, client_id, d, cb](bool measured) {
-              if (measured && measuring_) {
+              if (measured && run_.measuring()) {
                 result_->node_series[d].Add(client_id, 1);
               }
               cb();
@@ -272,9 +223,7 @@ void ClusterExperiment::Build() {
 void ClusterExperiment::CrashClient(std::size_t index) {
   HAECHI_LOG_INFO("cluster experiment: crashing client %zu at t=%lld ns",
                   index, static_cast<long long>(sim_.Now()));
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                     static_cast<std::uint32_t>(index),
-                     obs::EventType::kClientCrash, 0);
+  run_.Emit(obs::EventType::kClientCrash, static_cast<std::uint32_t>(index));
   fabric_->CrashNode(client_nodes_.at(index)->id());
   // Quiesce the software above the errored QPs. No monitor is told: each
   // node's report lease must discover the silence on its own, and the
@@ -289,96 +238,21 @@ ClusterExperimentResult ClusterExperiment::Run() {
     result_->node_series.emplace_back(config_.clients.size());
   }
 
-  bool want_recorder =
-      config_.trace.enabled || !config_.trace.out_path.empty();
-#if HAECHI_WATCHDOG_ENABLED
-  const bool want_watchdog = config_.watchdog.enabled ||
-                             !config_.watchdog.alerts_out.empty() ||
-                             config_.watchdog.status_interval > 0 ||
-                             config_.control.armed();
-  want_recorder = want_recorder || want_watchdog;
-#endif
-  if (want_recorder) {
-    obs::Recorder::Options trace_options;
-    trace_options.ring_capacity = config_.trace.ring_capacity;
-    trace_options.detail = config_.trace.detail;
-    recorder_ = std::make_unique<obs::Recorder>(sim_, trace_options);
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (want_watchdog) {
-    obs::WatchdogOptions wd_options;
-    wd_options.guarantee_fraction = config_.watchdog.guarantee_fraction;
-    watchdog_ = std::make_unique<obs::SloWatchdog>(wd_options);
-    alerts_sink_ =
-        std::make_unique<obs::JsonlAlertSink>(config_.watchdog.alerts_out);
-    watchdog_->AddSink(alerts_sink_.get());
-    if (config_.watchdog.status_interval > 0) {
-      auto status_fn = config_.watchdog.status_fn;
-      if (!status_fn) {
-        status_fn = [](const obs::PeriodStatus& status) {
-          std::fprintf(stderr, "%s\n",
-                       obs::FormatStatusLine(status).c_str());
-        };
-      }
-      watchdog_->SetStatusFn(std::move(status_fn),
-                             config_.watchdog.status_interval);
-    }
-    if (config_.control.armed()) {
-      controller_ = std::make_unique<core::control::QosController>(
-          config_.control.ToControllerConfig());
-      watchdog_->AddSink(controller_.get());
-      std::stable_sort(config_.control.api.begin(), config_.control.api.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-    }
-    recorder_->SetTap(
-        [this](const obs::TraceEvent& event) { watchdog_->OnEvent(event); });
-  }
-#endif
-  if (recorder_ != nullptr) {
-    // Same truncation contract as the single-node harness: the first ring
-    // overwrite raises one watchdog alert (or a log line) and the dropped
-    // total is harvested into trace.dropped_events below.
-    recorder_->SetDropNotify([this] {
-#if HAECHI_WATCHDOG_ENABLED
-      if (watchdog_ != nullptr) {
-        watchdog_->NotifyTruncation(sim_.Now());
-        return;
-      }
-#endif
-      HAECHI_LOG_WARN(
-          "cluster experiment: trace ring wrapped; any export of this run "
-          "is truncated");
-    });
-  }
-  obs::ScopedRecorder trace_scope(recorder_.get());
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0, obs::EventType::kRunConfig,
-                     0, config_.qos.period, config_.qos.token_batch,
-                     static_cast<std::int64_t>(config_.measure_periods));
+  run_.Begin(sim_, config_.qos, config_.measure_periods);
+  obs::ScopedRecorder trace_scope(run_.recorder());
   // The cluster-shape header must precede every monitor/cluster event: the
   // audit and watchdog switch into cluster mode when they see it.
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kClusterConfig, 0,
-                     static_cast<std::uint64_t>(config_.data_nodes),
-                     static_cast<std::uint64_t>(config_.tenants.size()),
-                     static_cast<std::uint64_t>(config_.cluster.borrow.policy));
+  run_.Emit(obs::EventType::kClusterConfig, 0,
+            static_cast<std::int64_t>(config_.data_nodes),
+            static_cast<std::int64_t>(config_.tenants.size()),
+            static_cast<std::int64_t>(config_.cluster.borrow.policy));
   for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-    [[maybe_unused]] const ClusterClientSpec& spec = config_.clients[i];
-    [[maybe_unused]] std::int64_t demand = 0;
+    const ClusterClientSpec& spec = config_.clients[i];
+    std::int64_t demand = 0;
     for (const auto per_node : spec.demand_per_node) demand += per_node;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(i),
-                       obs::EventType::kClientSpec, 0, spec.reservation,
-                       spec.limit, demand);
+    run_.AddClient(i, spec.reservation, spec.limit, demand);
   }
-  if (controller_ != nullptr) {
-    HAECHI_TRACE_EVENT(
-        obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig, 0,
-        static_cast<std::int64_t>(controller_->policy()),
-        static_cast<std::int64_t>(controller_->config().rules),
-        static_cast<std::int64_t>(controller_->config().quiet_periods));
-  }
+  run_.EndHeader();
 
   Build();
 
@@ -413,31 +287,7 @@ ClusterExperimentResult ClusterExperiment::Run() {
     sim_.ScheduleAt(config_.failover_at, [this] { coordinator_->FailOver(); });
   }
 
-  sim_.ScheduleAt(config_.warmup, [this] {
-    measuring_ = true;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                       obs::EventType::kMeasureStart, 0);
-    for (auto& series : result_->node_series) series.BeginPeriod();
-    measured_periods_ = 1;
-    measure_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.qos.period, [this] {
-          if (measured_periods_ >= config_.measure_periods) {
-            measuring_ = false;
-            measure_timer_->Stop();
-            return;
-          }
-          for (auto& series : result_->node_series) series.BeginPeriod();
-          ++measured_periods_;
-        });
-    measure_timer_->Start();
-  });
-
-  const SimTime end =
-      config_.warmup +
-      static_cast<SimTime>(config_.measure_periods) * config_.qos.period;
-  sim_.RunUntil(end);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kMeasureEnd, 0);
+  run_.RunMeasured(config_.warmup, result_->node_series);
 
   std::int64_t total = 0;
   for (const auto& series : result_->node_series) total += series.Total();
@@ -465,9 +315,9 @@ ClusterExperimentResult ClusterExperiment::Run() {
   }
 
   // End-of-run registry rollups: how well each node's share of the final
-  // reservation split was actually used, the cluster borrow flow, and the
-  // recorder's loss accounting.
-  metrics_.Set("run.total_kiops", result_->total_kiops);
+  // reservation split was actually used, and the cluster borrow flow.
+  obs::MetricsRegistry& metrics = run_.metrics();
+  metrics.Set("run.total_kiops", result_->total_kiops);
   for (std::size_t d = 0; d < config_.data_nodes; ++d) {
     std::int64_t split_sum = 0;
     for (const auto& split : result_->final_split) {
@@ -475,81 +325,23 @@ ClusterExperimentResult ClusterExperiment::Run() {
     }
     const std::int64_t completed = result_->node_series[d].Total();
     const std::string prefix = "node." + std::to_string(d) + ".";
-    metrics_.Set(prefix + "split_reservation",
-                 static_cast<double>(split_sum));
-    metrics_.Add(prefix + "completed_total", completed);
+    metrics.Set(prefix + "split_reservation", static_cast<double>(split_sum));
+    metrics.Add(prefix + "completed_total", completed);
     const double reserved_total =
         static_cast<double>(split_sum) *
         static_cast<double>(config_.measure_periods);
-    metrics_.Set(prefix + "split_utilization",
-                 reserved_total > 0.0
-                     ? static_cast<double>(completed) / reserved_total
-                     : 0.0);
+    metrics.Set(prefix + "split_utilization",
+                reserved_total > 0.0
+                    ? static_cast<double>(completed) / reserved_total
+                    : 0.0);
   }
-  metrics_.Add("cluster.borrowed_tokens_total", result_->borrow_granted);
-  metrics_.Add("cluster.repaid_tokens_total", result_->borrow_repaid);
-  metrics_.Add("cluster.stale_reports_total",
-               static_cast<std::int64_t>(result_->cluster_stats.stale_reports));
-  metrics_.Add("cluster.dead_clients",
-               static_cast<std::int64_t>(result_->cluster_stats.dead_clients));
-  if (recorder_ != nullptr) {
-    metrics_.Add("trace.emitted_events",
-                 static_cast<std::int64_t>(recorder_->TotalEmitted()));
-    metrics_.Add("trace.dropped_events",
-                 static_cast<std::int64_t>(recorder_->TotalDropped()));
-  }
-
-  if (recorder_ != nullptr && !config_.trace.out_path.empty()) {
-    const Status exported =
-        obs::ExportTraceFile(*recorder_, config_.trace.out_path);
-    if (exported.ok()) {
-      HAECHI_LOG_INFO("cluster experiment: exported %llu trace events to %s",
-                      static_cast<unsigned long long>(
-                          recorder_->TotalEmitted()),
-                      config_.trace.out_path.c_str());
-    } else {
-      HAECHI_LOG_WARN("cluster experiment: trace export failed: %s",
-                      exported.ToString().c_str());
-    }
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (watchdog_ != nullptr) {
-    const Status flushed = watchdog_->Finish();
-    if (!flushed.ok()) {
-      HAECHI_LOG_WARN("cluster experiment: alert sink flush failed: %s",
-                      flushed.ToString().c_str());
-    }
-    metrics_.Add("watchdog.alerts",
-                 static_cast<std::int64_t>(watchdog_->alerts().size()));
-    metrics_.Add("watchdog.critical",
-                 static_cast<std::int64_t>(
-                     watchdog_->CountAtLeast(obs::AlertSeverity::kCritical)));
-  }
-#endif
-  if (!config_.trace.metrics_out.empty()) {
-    const Status written =
-        metrics_.ToCsv().WriteFile(config_.trace.metrics_out);
-    if (!written.ok()) {
-      HAECHI_LOG_WARN("cluster experiment: metrics export failed: %s",
-                      written.ToString().c_str());
-    }
-  }
-  if (!config_.trace.prom_out.empty()) {
-    const std::string exposition = metrics_.ToPrometheus();
-    std::FILE* file = std::fopen(config_.trace.prom_out.c_str(), "wb");
-    if (file == nullptr) {
-      HAECHI_LOG_WARN("cluster experiment: cannot open prom file: %s",
-                      config_.trace.prom_out.c_str());
-    } else {
-      const std::size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), file);
-      const int closed = std::fclose(file);
-      if (written != exposition.size() || closed != 0) {
-        HAECHI_LOG_WARN("cluster experiment: short write to prom file: %s",
-                        config_.trace.prom_out.c_str());
-      }
-    }
-  }
+  metrics.Add("cluster.borrowed_tokens_total", result_->borrow_granted);
+  metrics.Add("cluster.repaid_tokens_total", result_->borrow_repaid);
+  metrics.Add("cluster.stale_reports_total",
+              static_cast<std::int64_t>(result_->cluster_stats.stale_reports));
+  metrics.Add("cluster.dead_clients",
+              static_cast<std::int64_t>(result_->cluster_stats.dead_clients));
+  run_.Finish();
 
   coordinator_->Stop();
   for (auto& monitor : monitors_) monitor->Stop();

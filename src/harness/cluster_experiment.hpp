@@ -22,9 +22,6 @@
 #include "kvstore/client.hpp"
 #include "kvstore/server.hpp"
 #include "net/model_params.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "obs/trace.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "stats/period_series.hpp"
@@ -137,19 +134,18 @@ class ClusterExperiment {
   [[nodiscard]] const ClusterExperimentConfig& config() const {
     return config_;
   }
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
+  [[nodiscard]] obs::Recorder* recorder() { return run_.recorder(); }
   /// Cluster-wide metrics view: per-node completions/capacity/pool plus the
   /// coordinator's borrow and rebalance flow, snapshotted once per QoS
   /// period (after the last node's period boundary) — what `--metrics-out`
   /// and `--prom-out` persist in cluster mode.
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return run_.metrics(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return run_.watchdog(); }
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return run_.controller();
   }
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return run_.alerts_jsonl();
   }
 
  private:
@@ -169,15 +165,7 @@ class ClusterExperiment {
   std::vector<std::vector<std::unique_ptr<workload::DemandGenerator>>>
       generators_;
   std::unique_ptr<ClusterExperimentResult> result_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  std::size_t control_api_next_ = 0;
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<sim::PeriodicTimer> measure_timer_;
-  std::size_t measured_periods_ = 0;
-  bool measuring_ = false;
+  RunScaffold run_;
 };
 
 }  // namespace haechi::harness

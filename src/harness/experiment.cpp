@@ -1,13 +1,10 @@
 #include "harness/experiment.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "obs/export.hpp"
 
 namespace haechi::harness {
 
@@ -24,7 +21,9 @@ std::vector<ClientSpec> UniformClients(std::size_t n, std::int64_t reservation,
 }
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      run_("experiment", config_.trace, config_.watchdog,
+           config_.control) {
   HAECHI_EXPECTS(!config_.clients.empty());
   HAECHI_EXPECTS(config_.measure_periods > 0);
   if (config_.io_path == IoPath::kTwoSided) {
@@ -68,48 +67,23 @@ void Experiment::BuildCluster() {
     monitor_->SetPeriodHook([this](std::uint32_t period,
                                    std::int64_t completions,
                                    std::int64_t estimate) {
-      // Scripted control-api swaps land on the boundary callback, so the
-      // same boundary's PlanBoundary already sees the new policy.
-      while (control_api_next_ < config_.control.api.size() &&
-             config_.control.api[control_api_next_].first <= period) {
-        const auto swap = config_.control.api[control_api_next_++];
-        if (controller_ != nullptr) {
-          controller_->SetPolicy(swap.second);
-          HAECHI_TRACE_EVENT(
-              obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig,
-              period, static_cast<std::int64_t>(swap.second),
-              static_cast<std::int64_t>(controller_->config().rules),
-              static_cast<std::int64_t>(controller_->config().quiet_periods));
-        }
-      }
+      run_.OnBoundary(period);
       result_->capacity_trace.push_back({period, completions, estimate});
       // One metrics snapshot per QoS period: the registry's long-format
       // CSV carries the same per-period trajectory the figures plot.
-      metrics_.Add("monitor.completions", completions);
-      metrics_.Set("monitor.capacity_estimate",
-                   static_cast<double>(estimate));
-      metrics_.Set("monitor.initial_pool",
-                   static_cast<double>(monitor_->InitialPool()));
-      metrics_.Set("monitor.reclaimed_tokens",
-                   static_cast<double>(monitor_->stats().reclaimed_tokens));
-      metrics_.Record("monitor.period_completions", completions);
-      metrics_.SnapshotPeriod(period);
+      obs::MetricsRegistry& metrics = run_.metrics();
+      metrics.Add("monitor.completions", completions);
+      metrics.Set("monitor.capacity_estimate", static_cast<double>(estimate));
+      metrics.Set("monitor.initial_pool",
+                  static_cast<double>(monitor_->InitialPool()));
+      metrics.Set("monitor.reclaimed_tokens",
+                  static_cast<double>(monitor_->stats().reclaimed_tokens));
+      metrics.Record("monitor.period_completions", completions);
+      metrics.SnapshotPeriod(period);
     });
-    if (controller_ != nullptr) {
-      for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-        const ClientSpec& spec = config_.clients[i];
-        controller_->SetClientSpec(static_cast<std::uint32_t>(i),
-                                   spec.reservation, spec.limit, spec.demand);
-        const auto cls = config_.control.classes.find(i);
-        if (cls != config_.control.classes.end()) {
-          controller_->SetClientClass(static_cast<std::uint32_t>(i),
-                                      cls->second);
-        }
-      }
-      monitor_->SetController(controller_.get(), [this](ClientId client) {
-        ReadmitClient(static_cast<std::size_t>(Raw(client)));
-      });
-    }
+    monitor_->SetController(run_.controller(), [this](ClientId client) {
+      ReadmitClient(static_cast<std::size_t>(Raw(client)));
+    });
   }
 
   for (std::size_t i = 0; i < config_.clients.size(); ++i) BuildClient(i);
@@ -163,9 +137,7 @@ void Experiment::CrashClient(std::size_t index) {
   ClientRig& rig = rigs_.at(index);
   HAECHI_LOG_INFO("experiment: crashing client %zu at t=%lld ns", index,
                   static_cast<long long>(sim_.Now()));
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                     static_cast<std::uint32_t>(index),
-                     obs::EventType::kClientCrash, 0);
+  run_.Emit(obs::EventType::kClientCrash, static_cast<std::uint32_t>(index));
   fabric_->CrashNode(rig.node->id());
   // The node's QPs are already in the error state; quiesce the software
   // above them. The monitor is NOT told — it must discover the death
@@ -179,9 +151,8 @@ void Experiment::RestartClient(std::size_t index) {
   ClientRig& rig = rigs_.at(index);
   HAECHI_LOG_INFO("experiment: restarting client %zu at t=%lld ns", index,
                   static_cast<long long>(sim_.Now()));
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                     static_cast<std::uint32_t>(index),
-                     obs::EventType::kClientRestart, 0);
+  run_.Emit(obs::EventType::kClientRestart,
+            static_cast<std::uint32_t>(index));
   HAECHI_EXPECTS(fabric_->IsCrashed(rig.node->id()));
   fabric_->RestartNode(rig.node->id());
   // Fresh QPs, KV client, engine and generator on the surviving node; the
@@ -214,58 +185,39 @@ void Experiment::WireClient(std::size_t index) {
   const auto client_id = MakeClientId(static_cast<std::uint32_t>(index));
 
   // Data path: one-sided QP pair (or RPC channel for the two-sided runs).
-  auto& client_data_cq = client_node.CreateCq();
-  auto& server_data_cq = data_node.CreateCq();
   // The data QP gets a deep (software) send queue: the QoS engine posts
   // token-backed I/Os immediately, so queueing happens here and at the
   // client NIC rather than in the application.
-  auto& client_data_qp =
-      client_node.CreateQp(client_data_cq, client_data_cq, 1u << 22);
-  auto& server_data_qp = data_node.CreateQp(server_data_cq, server_data_cq);
-  fabric_->Connect(client_data_qp, server_data_qp);
+  const auto data = fabric_->ConnectNew(client_node, data_node,
+                                        {.client_send_depth = 1u << 22});
 
   kvstore::KvClient::Config kv_config;
   kv_config.max_outstanding = 256;
   auto kv_client = std::make_unique<kvstore::KvClient>(
-      client_node, client_data_qp, server_->view(), kv_config);
+      client_node, data.client, server_->view(), kv_config);
 
   if (config_.io_path == IoPath::kTwoSided) {
-    auto& client_rpc_cq = client_node.CreateCq();
-    auto& client_rpc_recv_cq = client_node.CreateCq();
-    auto& server_rpc_cq = data_node.CreateCq();
-    auto& server_rpc_recv_cq = data_node.CreateCq();
-    auto& client_rpc_qp =
-        client_node.CreateQp(client_rpc_cq, client_rpc_recv_cq);
-    auto& server_rpc_qp =
-        data_node.CreateQp(server_rpc_cq, server_rpc_recv_cq);
-    fabric_->Connect(client_rpc_qp, server_rpc_qp);
-    server_->BindRpcEndpoint(server_rpc_qp);
-    kv_client->BindRpcQp(client_rpc_qp);
+    const auto rpc =
+        fabric_->ConnectNew(client_node, data_node,
+                            {.client_recv_cq = true, .server_recv_cq = true});
+    server_->BindRpcEndpoint(rpc.server);
+    kv_client->BindRpcQp(rpc.client);
   }
 
   core::ClientQosEngine* engine = nullptr;
   if (config_.mode != Mode::kBare) {
     // QoS data plane (FAA + report writes) and control plane (monitor
     // SENDs) each get their own QP pair.
-    auto& qos_cq = client_node.CreateCq();
-    auto& qos_srv_cq = data_node.CreateCq();
-    auto& qos_qp = client_node.CreateQp(qos_cq, qos_cq);
-    auto& qos_srv_qp = data_node.CreateQp(qos_srv_cq, qos_srv_cq);
-    fabric_->Connect(qos_qp, qos_srv_qp);
-
-    auto& ctrl_cq = client_node.CreateCq();
-    auto& ctrl_recv_cq = client_node.CreateCq();
-    auto& ctrl_srv_cq = data_node.CreateCq();
-    auto& ctrl_qp = client_node.CreateQp(ctrl_cq, ctrl_recv_cq);
-    auto& ctrl_srv_qp = data_node.CreateQp(ctrl_srv_cq, ctrl_srv_cq);
-    fabric_->Connect(ctrl_qp, ctrl_srv_qp);
+    const auto qos = fabric_->ConnectNew(client_node, data_node);
+    const auto ctrl =
+        fabric_->ConnectNew(client_node, data_node, {.client_recv_cq = true});
 
     auto wiring = monitor_->AdmitClient(client_id, spec.reservation,
-                                        spec.limit, ctrl_srv_qp);
+                                        spec.limit, ctrl.server);
     HAECHI_ASSERT(wiring.ok());
 
     auto qos_engine = std::make_unique<core::ClientQosEngine>(
-        sim_, client_id, config_.qos, client_node, qos_qp, ctrl_qp,
+        sim_, client_id, config_.qos, client_node, qos.client, ctrl.client,
         wiring.value());
     kvstore::KvClient* kv = kv_client.get();
     qos_engine->SetIoBackend(
@@ -276,7 +228,7 @@ void Experiment::WireClient(std::size_t index) {
           // op completes with an error and delivered no service.
           auto finish = [this, client_id, done = std::move(done)](
                             const kvstore::KvClient::Completion& completion) {
-            if (completion.status.ok() && measuring_) {
+            if (completion.status.ok() && run_.measuring()) {
               result_->series.Add(client_id, 1);
             }
             done();
@@ -325,7 +277,7 @@ void Experiment::WireClient(std::size_t index) {
                  workload::DemandGenerator::CompleteFn cb) {
       auto done = [this, client_id, cb = std::move(cb)](
                       const kvstore::KvClient::Completion& completion) {
-        if (completion.status.ok() && measuring_) {
+        if (completion.status.ok() && run_.measuring()) {
           result_->series.Add(client_id, 1);
         }
         cb();
@@ -360,16 +312,12 @@ void Experiment::BuildBackground(std::size_t index) {
   rdma::Node& data_node = fabric_->node(0);
   rdma::Node& client_node = fabric_->node(1 + index);
 
-  auto& bg_cq = client_node.CreateCq();
-  auto& bg_srv_cq = data_node.CreateCq();
-  auto& bg_qp = client_node.CreateQp(bg_cq, bg_cq);
-  auto& bg_srv_qp = data_node.CreateQp(bg_srv_cq, bg_srv_cq);
-  fabric_->Connect(bg_qp, bg_srv_qp);
+  const auto bg = fabric_->ConnectNew(client_node, data_node);
 
   kvstore::KvClient::Config kv_config;
   kv_config.max_outstanding = 256;
   auto bg_client = std::make_unique<kvstore::KvClient>(
-      client_node, bg_qp, server_->view(), kv_config);
+      client_node, bg.client, server_->view(), kv_config);
 
   workload::DemandGenerator::Config gen_config;
   gen_config.pattern = workload::RequestPattern::kConstantRate;
@@ -405,116 +353,23 @@ void Experiment::BuildBackground(std::size_t index) {
 }
 
 ExperimentResult Experiment::Run() {
-  result_ = std::make_unique<ExperimentResult>(ExperimentResult{
-      stats::PeriodSeries(config_.clients.size()),
-      {},
-      stats::Histogram(),
-      0.0,
-      {},
-      {},
-      {},
-      0,
-      {},
-      {},
-      {}});
+  result_ = std::make_unique<ExperimentResult>(
+      ExperimentResult{stats::PeriodSeries(config_.clients.size()), {},
+                       stats::Histogram(), 0.0, {}, {}, {}, 0, {}, {}, {}});
 
   // The flight recorder spans cluster build (admission events) through the
   // final period boundary; it is installed process-wide so instrumentation
   // deep in core/rdma/kvstore reaches it without plumbing.
-  bool want_recorder =
-      config_.trace.enabled || !config_.trace.out_path.empty();
-#if HAECHI_WATCHDOG_ENABLED
-  // Arming the watchdog forces a recorder: the watchdog is a tap on the
-  // event stream, and sees nothing without one. An armed controller in
-  // turn forces the watchdog — it feeds on the live alert stream.
-  const bool want_watchdog = config_.watchdog.enabled ||
-                             !config_.watchdog.alerts_out.empty() ||
-                             config_.watchdog.status_interval > 0 ||
-                             config_.control.armed();
-  want_recorder = want_recorder || want_watchdog;
-#endif
-  if (want_recorder) {
-    obs::Recorder::Options trace_options;
-    trace_options.ring_capacity = config_.trace.ring_capacity;
-    trace_options.detail = config_.trace.detail;
-    recorder_ = std::make_unique<obs::Recorder>(sim_, trace_options);
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (want_watchdog) {
-    obs::WatchdogOptions wd_options;
-    wd_options.guarantee_fraction = config_.watchdog.guarantee_fraction;
-    watchdog_ = std::make_unique<obs::SloWatchdog>(wd_options);
-    // The JSONL sink always exists when armed (empty path = buffer only),
-    // so tests can compare the byte-exact alert document without a file.
-    alerts_sink_ =
-        std::make_unique<obs::JsonlAlertSink>(config_.watchdog.alerts_out);
-    watchdog_->AddSink(alerts_sink_.get());
-    if (config_.watchdog.status_interval > 0) {
-      auto status_fn = config_.watchdog.status_fn;
-      if (!status_fn) {
-        status_fn = [](const obs::PeriodStatus& status) {
-          std::fprintf(stderr, "%s\n",
-                       obs::FormatStatusLine(status).c_str());
-        };
-      }
-      watchdog_->SetStatusFn(std::move(status_fn),
-                             config_.watchdog.status_interval);
-    }
-    if (config_.control.armed()) {
-      controller_ = std::make_unique<core::control::QosController>(
-          config_.control.ToControllerConfig());
-      watchdog_->AddSink(controller_.get());
-      std::stable_sort(config_.control.api.begin(), config_.control.api.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-    }
-    // Installed before the first harness event below: the watchdog's view
-    // must start at kRunConfig or its period-length inference runs blind.
-    recorder_->SetTap(
-        [this](const obs::TraceEvent& event) { watchdog_->OnEvent(event); });
-  }
-#endif
-  if (recorder_ != nullptr) {
-    // Ring truncation is never silent: the first overwrite raises a one-shot
-    // watchdog alert (when armed) or at least a log line; the cumulative
-    // trace.dropped_events counter is harvested below either way.
-    recorder_->SetDropNotify([this] {
-#if HAECHI_WATCHDOG_ENABLED
-      if (watchdog_ != nullptr) {
-        watchdog_->NotifyTruncation(sim_.Now());
-        return;
-      }
-#endif
-      HAECHI_LOG_WARN(
-          "experiment: trace ring wrapped; any export of this run is "
-          "truncated");
-    });
-  }
-  obs::ScopedRecorder trace_scope(recorder_.get());
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0, obs::EventType::kRunConfig,
-                     0, config_.qos.period, config_.qos.token_batch,
-                     static_cast<std::int64_t>(config_.measure_periods));
+  run_.Begin(sim_, config_.qos, config_.measure_periods);
+  obs::ScopedRecorder trace_scope(run_.recorder());
   for (std::size_t i = 0; i < config_.clients.size(); ++i) {
-    [[maybe_unused]] const ClientSpec& spec = config_.clients[i];
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness,
-                       static_cast<std::uint32_t>(i),
-                       obs::EventType::kClientSpec, 0, spec.reservation,
-                       spec.limit, spec.demand);
-  }
-  if (controller_ != nullptr) {
-    HAECHI_TRACE_EVENT(
-        obs::ActorKind::kHarness, 0, obs::EventType::kControllerConfig, 0,
-        static_cast<std::int64_t>(controller_->policy()),
-        static_cast<std::int64_t>(controller_->config().rules),
-        static_cast<std::int64_t>(controller_->config().quiet_periods));
-  }
-
-  BuildCluster();
-
-  for (const auto& spec : config_.clients) {
+    const ClientSpec& spec = config_.clients[i];
+    run_.AddClient(i, spec.reservation, spec.limit, spec.demand);
     result_->reservations.push_back(spec.reservation);
   }
+  run_.EndHeader();
+
+  BuildCluster();
 
   // Kick off the QoS monitor (period boundaries at multiples of T) and the
   // generators (same alignment; engines begin on their first PeriodStart).
@@ -523,31 +378,7 @@ ExperimentResult Experiment::Run() {
 
   // Measurement window bookkeeping: one PeriodSeries row per QoS period
   // after warm-up.
-  sim_.ScheduleAt(config_.warmup, [this] {
-    measuring_ = true;
-    HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                       obs::EventType::kMeasureStart, 0);
-    result_->series.BeginPeriod();
-    measured_periods_ = 1;
-    measure_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.qos.period, [this] {
-          if (measured_periods_ >= config_.measure_periods) {
-            measuring_ = false;
-            measure_timer_->Stop();
-            return;
-          }
-          result_->series.BeginPeriod();
-          ++measured_periods_;
-        });
-    measure_timer_->Start();
-  });
-
-  const SimTime end = config_.warmup + static_cast<SimTime>(
-                                           config_.measure_periods) *
-                                           config_.qos.period;
-  sim_.RunUntil(end);
-  HAECHI_TRACE_EVENT(obs::ActorKind::kHarness, 0,
-                     obs::EventType::kMeasureEnd, 0);
+  run_.RunMeasured(config_.warmup, {&result_->series, 1});
 
   // Harvest.
   result_->total_kiops = ToKiops(
@@ -564,47 +395,41 @@ ExperimentResult Experiment::Run() {
 
   // Run-level roll-ups into the metrics registry (cumulative counters; the
   // per-period trajectory lives in the snapshots above).
-  metrics_.Set("run.total_kiops", result_->total_kiops);
-  metrics_.Add("run.events", static_cast<std::int64_t>(result_->events_run));
-  metrics_.Add("fabric.ops_dropped",
-               static_cast<std::int64_t>(result_->fault_stats.ops_dropped));
-  metrics_.Add("fabric.ops_delayed",
-               static_cast<std::int64_t>(result_->fault_stats.ops_delayed));
-  metrics_.Add(
-      "fabric.ops_duplicated",
-      static_cast<std::int64_t>(result_->fault_stats.ops_duplicated));
+  obs::MetricsRegistry& metrics = run_.metrics();
+  metrics.Set("run.total_kiops", result_->total_kiops);
+  metrics.Add("run.events", static_cast<std::int64_t>(result_->events_run));
+  metrics.Add("fabric.ops_dropped",
+              static_cast<std::int64_t>(result_->fault_stats.ops_dropped));
+  metrics.Add("fabric.ops_delayed",
+              static_cast<std::int64_t>(result_->fault_stats.ops_delayed));
+  metrics.Add("fabric.ops_duplicated",
+              static_cast<std::int64_t>(result_->fault_stats.ops_duplicated));
   for (const auto& engine_stats : result_->engine_stats) {
-    metrics_.Add("engine.faa_ops",
-                 static_cast<std::int64_t>(engine_stats.faa_ops));
-    metrics_.Add("engine.report_writes",
-                 static_cast<std::int64_t>(engine_stats.report_writes));
-    metrics_.Add("engine.completed_total",
-                 static_cast<std::int64_t>(engine_stats.completed_total));
+    metrics.Add("engine.faa_ops",
+                static_cast<std::int64_t>(engine_stats.faa_ops));
+    metrics.Add("engine.report_writes",
+                static_cast<std::int64_t>(engine_stats.report_writes));
+    metrics.Add("engine.completed_total",
+                static_cast<std::int64_t>(engine_stats.completed_total));
   }
-  if (recorder_ != nullptr) {
-    metrics_.Add("trace.emitted_events",
-                 static_cast<std::int64_t>(recorder_->TotalEmitted()));
-    metrics_.Add("trace.dropped_events",
-                 static_cast<std::int64_t>(recorder_->TotalDropped()));
-  }
-
   // Cross-layer span profile: with detail tracing on, reassemble every I/O's
   // admit→fetch→wait→queue→service stages from the merged stream and replay
   // the per-period stage distributions into the registry (reset per period,
   // so each snapshot row is that period's distribution, not a cumulative
   // blur). Compiles to nothing under HAECHI_TRACE=OFF: the AssembleSpans
   // stub returns an empty vector.
-  if (recorder_ != nullptr && recorder_->detail()) {
+  obs::Recorder* recorder = run_.recorder();
+  if (recorder != nullptr && recorder->detail()) {
     obs::SpanAssemblyStats span_stats;
-    result_->spans = obs::AssembleSpans(recorder_->Merged(), &span_stats);
+    result_->spans = obs::AssembleSpans(recorder->Merged(), &span_stats);
     result_->span_stats = span_stats;
-    metrics_.Add("span.count", static_cast<std::int64_t>(span_stats.spans));
-    metrics_.Add("span.dropped_unissued",
-                 static_cast<std::int64_t>(span_stats.dropped_unissued));
-    metrics_.Add("span.dropped_uncompleted",
-                 static_cast<std::int64_t>(span_stats.dropped_uncompleted));
-    metrics_.Add("span.orphan_events",
-                 static_cast<std::int64_t>(span_stats.orphan_events));
+    metrics.Add("span.count", static_cast<std::int64_t>(span_stats.spans));
+    metrics.Add("span.dropped_unissued",
+                static_cast<std::int64_t>(span_stats.dropped_unissued));
+    metrics.Add("span.dropped_uncompleted",
+                static_cast<std::int64_t>(span_stats.dropped_uncompleted));
+    metrics.Add("span.orphan_events",
+                static_cast<std::int64_t>(span_stats.orphan_events));
     if (!result_->spans.empty()) {
       static constexpr const char* kStageMetric[obs::kSpanStages] = {
           "span.stage.admit", "span.stage.token_fetch",
@@ -617,9 +442,9 @@ ExperimentResult Experiment::Run() {
       // Registry histograms are map nodes: look them up once, not per span.
       stats::Histogram* stage[obs::kSpanStages];
       for (std::size_t s = 0; s < obs::kSpanStages; ++s) {
-        stage[s] = &metrics_.Histogram(kStageMetric[s]);
+        stage[s] = &metrics.Histogram(kStageMetric[s]);
       }
-      stats::Histogram& total = metrics_.Histogram("span.stage.total");
+      stats::Histogram& total = metrics.Histogram("span.stage.total");
       for (const auto& [period, spans] : by_period) {
         for (stats::Histogram* histogram : stage) histogram->Reset();
         total.Reset();
@@ -629,77 +454,12 @@ ExperimentResult Experiment::Run() {
           }
           total.Record(span->Total());
         }
-        metrics_.SnapshotHistograms(period, "span.stage.");
+        metrics.SnapshotHistograms(period, "span.stage.");
       }
     }
   }
 
-  if (recorder_ != nullptr && !config_.trace.out_path.empty()) {
-    const Status exported =
-        obs::ExportTraceFile(*recorder_, config_.trace.out_path);
-    if (exported.ok()) {
-      HAECHI_LOG_INFO("experiment: exported %llu trace events to %s",
-                      static_cast<unsigned long long>(
-                          recorder_->TotalEmitted()),
-                      config_.trace.out_path.c_str());
-    } else {
-      HAECHI_LOG_WARN("experiment: trace export failed: %s",
-                      exported.ToString().c_str());
-    }
-  }
-#if HAECHI_WATCHDOG_ENABLED
-  if (watchdog_ != nullptr) {
-    const Status flushed = watchdog_->Finish();
-    if (!flushed.ok()) {
-      HAECHI_LOG_WARN("experiment: alert sink flush failed: %s",
-                      flushed.ToString().c_str());
-    }
-    metrics_.Add("watchdog.alerts",
-                 static_cast<std::int64_t>(watchdog_->alerts().size()));
-    metrics_.Add("watchdog.critical",
-                 static_cast<std::int64_t>(
-                     watchdog_->CountAtLeast(obs::AlertSeverity::kCritical)));
-    metrics_.Add("watchdog.periods_evaluated",
-                 static_cast<std::int64_t>(watchdog_->periods_evaluated()));
-  }
-  if (controller_ != nullptr) {
-    const auto& cs = controller_->stats();
-    metrics_.Add("controller.alerts", static_cast<std::int64_t>(cs.alerts));
-    metrics_.Add("controller.resizes", static_cast<std::int64_t>(cs.resizes));
-    metrics_.Add("controller.eta_scalings",
-                 static_cast<std::int64_t>(cs.eta_scalings));
-    metrics_.Add("controller.forced_conversions",
-                 static_cast<std::int64_t>(cs.forced_conversions));
-    metrics_.Add("controller.readmits",
-                 static_cast<std::int64_t>(cs.readmits));
-    metrics_.Add("controller.recoveries",
-                 static_cast<std::int64_t>(cs.recoveries));
-  }
-#endif
-  if (!config_.trace.metrics_out.empty()) {
-    const Status written =
-        metrics_.ToCsv().WriteFile(config_.trace.metrics_out);
-    if (!written.ok()) {
-      HAECHI_LOG_WARN("experiment: metrics export failed: %s",
-                      written.ToString().c_str());
-    }
-  }
-  if (!config_.trace.prom_out.empty()) {
-    const std::string exposition = metrics_.ToPrometheus();
-    std::FILE* file = std::fopen(config_.trace.prom_out.c_str(), "wb");
-    if (file == nullptr) {
-      HAECHI_LOG_WARN("experiment: cannot open prom file: %s",
-                      config_.trace.prom_out.c_str());
-    } else {
-      const std::size_t written =
-          std::fwrite(exposition.data(), 1, exposition.size(), file);
-      const int closed = std::fclose(file);
-      if (written != exposition.size() || closed != 0) {
-        HAECHI_LOG_WARN("experiment: short write to prom file: %s",
-                        config_.trace.prom_out.c_str());
-      }
-    }
-  }
+  run_.Finish();
 
   // Stop the machinery so a subsequent RunUntil in tests drains cleanly.
   if (monitor_) monitor_->Stop();

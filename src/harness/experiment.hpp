@@ -7,26 +7,19 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/config.hpp"
-#include "core/control/controller.hpp"
 #include "core/engine.hpp"
 #include "core/monitor.hpp"
+#include "harness/run_scaffold.hpp"
 #include "kvstore/client.hpp"
 #include "kvstore/server.hpp"
 #include "net/model_params.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "rdma/fabric.hpp"
 #include "rdma/fault.hpp"
 #include "sim/simulator.hpp"
@@ -109,23 +102,18 @@ struct ExperimentConfig {
   };
   std::vector<ClientFault> client_faults;
 
-  /// Flight-recorder tracing (src/obs). `enabled` installs a Recorder for
-  /// the whole run (cluster build through teardown); `out_path` also
-  /// exports the merged stream when the run ends (".json" => Perfetto
-  /// trace-event JSON, anything else => CSV — the audit tool's input).
-  /// `metrics_out` writes the per-period metrics snapshots as CSV;
-  /// `prom_out` writes the same snapshots as Prometheus text exposition
-  /// (one sample per row, the period as a label). When tracing is compiled
-  /// out (HAECHI_TRACE=OFF) a recorder is still installed but records only
-  /// the harness's own bookkeeping events.
-  struct TraceConfig {
-    bool enabled = false;
-    bool detail = false;  // also record per-I/O kRdma*/kKv* events
-    std::size_t ring_capacity = 1u << 16;
-    std::string out_path;
-    std::string metrics_out;
-    std::string prom_out;
-  };
+  /// Flight-recorder tracing (src/obs). `enabled` or a nonempty `out_path`
+  /// installs a Recorder for the whole run (cluster build through
+  /// teardown); `out_path` also exports the merged stream when the run ends
+  /// (".json" => Perfetto trace-event JSON, anything else => CSV — the
+  /// audit tool's input). `metrics_out` writes the per-period metrics
+  /// snapshots as CSV; `prom_out` writes the same snapshots as Prometheus
+  /// text exposition (one sample per row, the period as a label). Every
+  /// harness records its own events (run header, measurement markers,
+  /// scripted faults) whenever a recorder exists, so when tracing is
+  /// compiled out (HAECHI_TRACE=OFF) a simulated run's recorder still holds
+  /// those and nothing else.
+  using TraceConfig = harness::TraceConfig;
   TraceConfig trace;
 
   /// Online SLO watchdog (src/obs/slo). Any of `enabled`, a nonempty
@@ -135,46 +123,14 @@ struct ExperimentConfig {
   /// invokes `status_fn` (default: a stderr status line) after every Nth
   /// evaluated period. Inert when HAECHI_WATCHDOG=OFF — the wiring
   /// compiles out and haechi_sim behaves as before.
-  struct WatchdogConfig {
-    bool enabled = false;
-    double guarantee_fraction = 0.95;
-    std::string alerts_out;
-    std::uint32_t status_interval = 0;
-    std::function<void(const obs::PeriodStatus&)> status_fn;
-  };
+  using WatchdogConfig = harness::WatchdogConfig;
   WatchdogConfig watchdog;
 
   /// Closed-loop QoS control plane (src/core/control, DESIGN.md §14). A
   /// non-kOff policy (or a scripted swap below) arms the controller, which
   /// force-arms the watchdog — the controller feeds on its alert stream.
   /// Inert when HAECHI_WATCHDOG=OFF, like the watchdog itself.
-  struct ControlConfig {
-    core::control::Policy policy = core::control::Policy::kOff;
-    std::uint32_t rules = core::control::kAllRules;
-    std::uint32_t quiet_periods = 1;
-    std::uint32_t oscillation_quiet = 6;
-    std::uint32_t eta_recover_after = 16;
-    std::int64_t min_reservation = 0;
-    /// Service classes by client index; missing = permissive default.
-    std::map<std::size_t, core::control::ClientClass> classes;
-    /// Scripted runtime policy swaps (the --control-api surface): applied
-    /// at the first boundary whose period counter is >= `first`.
-    std::vector<std::pair<std::uint32_t, core::control::Policy>> api;
-
-    [[nodiscard]] bool armed() const {
-      return policy != core::control::Policy::kOff || !api.empty();
-    }
-    [[nodiscard]] core::control::ControllerConfig ToControllerConfig() const {
-      core::control::ControllerConfig out;
-      out.policy = policy;
-      out.rules = rules;
-      out.quiet_periods = quiet_periods;
-      out.oscillation_quiet = oscillation_quiet;
-      out.eta_recover_after = eta_recover_after;
-      out.min_reservation = min_reservation;
-      return out;
-    }
-  };
+  using ControlConfig = harness::ControlConfig;
   ControlConfig control;
 };
 
@@ -231,22 +187,21 @@ class Experiment {
   [[nodiscard]] kvstore::KvServer& server() { return *server_; }
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   /// The run's flight recorder (null unless config.trace asked for one).
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
+  [[nodiscard]] obs::Recorder* recorder() { return run_.recorder(); }
   /// Per-period metrics snapshots (populated for QoS modes during Run).
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return run_.metrics(); }
   /// The online watchdog (null unless config.watchdog armed one — always
   /// null when HAECHI_WATCHDOG=OFF).
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return run_.watchdog(); }
   /// The closed-loop controller (null unless config.control armed one —
   /// always null when HAECHI_WATCHDOG=OFF).
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return run_.controller();
   }
   /// The watchdog's buffered JSONL alert document ("" when not armed) —
   /// the same bytes `alerts_out` persists.
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return run_.alerts_jsonl();
   }
 
  private:
@@ -290,18 +245,8 @@ class Experiment {
   std::vector<std::unique_ptr<kvstore::KvClient>> background_clients_;
   std::vector<std::unique_ptr<workload::DemandGenerator>> background_gens_;
   std::unique_ptr<ExperimentResult> result_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  // Null unless config_.watchdog arms them (never armed when
-  // HAECHI_WATCHDOG=OFF).
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  /// Scripted policy swaps not yet applied (drained by the period hook).
-  std::size_t control_api_next_ = 0;
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<sim::PeriodicTimer> measure_timer_;
-  std::size_t measured_periods_ = 0;
-  bool measuring_ = false;
+  /// Recorder, watchdog, controller, metrics and the measurement window.
+  RunScaffold run_;
   std::vector<std::byte> write_value_;
 };
 

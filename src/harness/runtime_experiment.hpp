@@ -8,17 +8,17 @@
 // non-blocking TryAcquireBatch event loop. Used by `haechi_sim
 // --runtime=threads` and the runtime differential tests.
 //
-// Scope: the threaded backend runs the QoS protocol proper. Scripted
-// *crash-only* client faults are supported (the engine stops silently at
-// crash_at; the monitor's report lease reclaims the residual), as are
-// monitor outages (FaultPlan::MonitorCrashAt with a finite recover_at — a
-// driver thread crashes and recovers the ThreadedMonitor at the scripted
-// instants; DESIGN.md §15), the SLO watchdog and the closed-loop
-// controller — the recorder tap serialises multi-threaded emitters through
-// a mutex before the single-threaded watchdog. Features that belong to the
-// simulated cluster — transport-level fault plans, client restarts,
-// background traffic, the two-sided I/O path, bare mode — are rejected up
-// front (HAECHI_EXPECTS) rather than half-supported.
+// Scope: everything but what it rejects up front (HAECHI_EXPECTS):
+//   * transport fault plans (drops, delays, QP errors): the shared-memory
+//     region has no transport to fault;
+//   * client restarts: re-admission rebuilds a client on fresh QPs, which
+//     only the simulated fabric models;
+//   * a monitor outage with no finite recover_at: the run ends on a
+//     period-boundary latch that such a monitor would never release;
+//   * background traffic, the two-sided I/O path and bare mode: the worker
+//     loop issues only token-gated one-sided record reads;
+//   * missing profiled capacities: the threaded fabric has no analytic
+//     model to derive C_G and C_L from.
 //
 // Determinism caveat: results are statistically, not bitwise, reproducible.
 // The same config and seed produce the same admitted reservations and the
@@ -35,8 +35,6 @@
 
 #include "common/types.hpp"
 #include "harness/experiment.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/threaded_engine.hpp"
 #include "runtime/threaded_fabric.hpp"
@@ -94,22 +92,21 @@ class ThreadedExperiment {
     return *engines_.at(i);
   }
   [[nodiscard]] runtime::ThreadedFabric& fabric() { return *fabric_; }
-  [[nodiscard]] obs::Recorder* recorder() { return recorder_.get(); }
+  [[nodiscard]] obs::Recorder* recorder() { return run_.recorder(); }
   /// Per-period snapshots plus the runtime-layer rollups (shard FAA mix,
   /// seqlock retries, worker occupancy) — what trace.metrics_out/prom_out
   /// persist for the threaded backend.
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return run_.metrics(); }
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   /// The online watchdog (null unless config.watchdog or an armed
   /// controller wired one; always null when HAECHI_WATCHDOG=OFF).
-  [[nodiscard]] obs::SloWatchdog* watchdog() { return watchdog_.get(); }
+  [[nodiscard]] obs::SloWatchdog* watchdog() { return run_.watchdog(); }
   [[nodiscard]] core::control::QosController* controller() {
-    return controller_.get();
+    return run_.controller();
   }
   /// The watchdog's buffered JSONL alert document ("" when not armed).
   [[nodiscard]] const std::string& alerts_jsonl() const {
-    static const std::string kEmpty;
-    return alerts_sink_ != nullptr ? alerts_sink_->buffer() : kEmpty;
+    return run_.alerts_jsonl();
   }
 
  private:
@@ -122,15 +119,13 @@ class ThreadedExperiment {
   /// completions_ row single-writer.
   std::size_t worker_count_ = 0;
   runtime::Clock clock_;
-  std::unique_ptr<obs::Recorder> recorder_;
   /// Serialises the recorder tap: the monitor's timer threads and every
   /// worker-owned engine emit concurrently, and the watchdog is
   /// single-threaded by contract.
   std::mutex watchdog_mu_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
-  std::unique_ptr<obs::JsonlAlertSink> alerts_sink_;
-  std::unique_ptr<core::control::QosController> controller_;
-  std::size_t control_api_next_ = 0;
+  /// Outlives the monitor and engines that emit into its recorder. Its
+  /// metrics are written by the period hook, then by Run() after the join.
+  RunScaffold run_;
   std::unique_ptr<runtime::ThreadedFabric> fabric_;
   std::unique_ptr<runtime::ThreadedMonitor> monitor_;
   std::vector<std::unique_ptr<runtime::ThreadedEngine>> engines_;
@@ -142,9 +137,6 @@ class ThreadedExperiment {
   std::vector<std::vector<std::int64_t>> completions_;
   /// worker_stats_[worker] — written only by that worker, read after join.
   std::vector<ThreadedExperimentResult::WorkerStats> worker_stats_;
-  /// Written by the monitor thread (period hook) during the run and by
-  /// Run() after the join — never concurrently.
-  obs::MetricsRegistry metrics_;
   std::vector<std::thread> workers_;
 };
 

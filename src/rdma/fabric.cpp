@@ -54,6 +54,20 @@ void Fabric::Connect(QueuePair& a, QueuePair& b) {
   b.remote_ = &a;
 }
 
+QpPair Fabric::ConnectNew(Node& client, Node& server, QpPairShape shape) {
+  CompletionQueue& client_cq = client.CreateCq();
+  CompletionQueue& client_rcq =
+      shape.client_recv_cq ? client.CreateCq() : client_cq;
+  CompletionQueue& server_cq = server.CreateCq();
+  CompletionQueue& server_rcq =
+      shape.server_recv_cq ? server.CreateCq() : server_cq;
+  QueuePair& client_qp =
+      client.CreateQp(client_cq, client_rcq, shape.client_send_depth);
+  QueuePair& server_qp = server.CreateQp(server_cq, server_rcq);
+  Connect(client_qp, server_qp);
+  return {client_qp, server_qp};
+}
+
 SimDuration Fabric::InitiatorService(const OpState& op) const {
   const Node& src = op.src->node();
   switch (op.opcode) {

@@ -103,6 +103,17 @@ class Node {
   std::uint32_t incarnation_ = 0;
 };
 
+/// Fabric::ConnectNew's result and options.
+struct QpPair {
+  QueuePair& client;
+  QueuePair& server;
+};
+struct QpPairShape {
+  bool client_recv_cq = false;
+  bool server_recv_cq = false;
+  std::size_t client_send_depth = 256;
+};
+
 class Fabric {
  public:
   Fabric(sim::Simulator& sim, net::ModelParams params, std::uint64_t seed);
@@ -116,6 +127,10 @@ class Fabric {
   /// Connects two QPs into an RC pair. Loopback (same node) is allowed —
   /// the QoS monitor's `loopback_cas` mode uses it.
   void Connect(QueuePair& a, QueuePair& b);
+
+  /// A new RC pair between two nodes, each QP on fresh CQs; a side that
+  /// receives SENDs gets a separate receive CQ.
+  QpPair ConnectNew(Node& client, Node& server, QpPairShape shape = {});
 
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const net::ModelParams& params() const { return params_; }

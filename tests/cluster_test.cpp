@@ -7,6 +7,7 @@
 
 #include "cluster/coordinator.hpp"
 #include "harness/cluster_experiment.hpp"
+#include "obs/audit.hpp"
 
 namespace haechi {
 namespace {
@@ -351,6 +352,47 @@ TEST(Cluster, MonitorUpdateReservationSemantics) {
   EXPECT_EQ(
       monitor.UpdateReservation(MakeClientId(0), 2 * local + 5).code(),
       StatusCode::kInvalidArgument);
+}
+
+TEST(Cluster, LeaveWithoutHeadroomParksTheRemainderAcrossRebalances) {
+  // The shape `haechi_sim --cluster=2 --leave-at=3` runs into: node 1
+  // leaves while node 0 lacks the admission headroom for its splits, so
+  // LeaveNode parks the remainder back on node 1. Every later rebalance
+  // drains node 1 again, finds no active home for the remainder and must
+  // park it back too, instead of losing it.
+  ClusterExperimentConfig config = BaseConfig();
+  config.data_nodes = 2;
+  config.leave_at = Seconds(3);
+  config.trace.enabled = true;
+  const std::int64_t cap = Capacity(config);
+  for (int i = 0; i < 4; ++i) {
+    ClusterClientSpec spec;
+    spec.reservation = cap / 5;  // 80% of the cluster, 160% of one node
+    spec.demand_per_node = {cap / 8, cap / 8};
+    config.clients.push_back(spec);
+  }
+  SingleTenant(config);
+
+  ClusterExperiment exp(std::move(config));
+  ClusterExperimentResult r = exp.Run();
+  EXPECT_EQ(r.cluster_stats.node_leaves, 1u);
+  EXPECT_GT(r.cluster_stats.rebalances, 0u);
+  for (std::size_t c = 0; c < r.final_split.size(); ++c) {
+    const auto& split = r.final_split[c];
+    EXPECT_EQ(std::accumulate(split.begin(), split.end(), std::int64_t{0}),
+              cap / 5)
+        << "client " << c;
+  }
+  // The parked remainder stays on the departed node.
+  std::int64_t parked = 0;
+  for (const auto& split : r.final_split) parked += split[1];
+  EXPECT_GT(parked, 0);
+
+  ASSERT_NE(exp.recorder(), nullptr);
+  const obs::AuditReport report = obs::AuditTrace(exp.recorder()->Merged());
+  EXPECT_TRUE(report.violations.empty())
+      << report.violations.size() << " violations, first: "
+      << (report.violations.empty() ? "" : report.violations[0].detail);
 }
 
 }  // namespace

@@ -372,6 +372,16 @@ int Run(int argc, const char* const* argv) {
   }
   config.qos.fetch_batch = fetch_batch;
 
+  // Checked ahead of the cluster branch: cluster mode runs on the sim
+  // runtime and must reject these flags, not ignore them.
+  const std::string runtime = flags.GetString("runtime", "sim");
+  const std::int64_t shards = flags.GetInt("shards", 1);
+  const std::int64_t workers = flags.GetInt("workers", 0);
+  if (runtime != "threads" && (shards != 1 || workers != 0)) {
+    std::fprintf(stderr, "--shards/--workers require --runtime=threads\n");
+    return 2;
+  }
+
   // --- cluster mode: D data nodes behind the cluster coordinator ---------
   const auto cluster_nodes = static_cast<std::size_t>(
       std::max<std::int64_t>(flags.GetInt("cluster", 0), 0));
@@ -434,8 +444,7 @@ int Run(int argc, const char* const* argv) {
     return static_cast<SimTime>(sec * 1e9);
   };
   if (cluster_nodes > 0) {
-    if (flags.GetString("runtime", "sim") != "sim" ||
-        config.mode != harness::Mode::kHaechi) {
+    if (runtime != "sim" || config.mode != harness::Mode::kHaechi) {
       std::fprintf(stderr,
                    "--cluster runs on --runtime=sim --mode=haechi only\n");
       return 2;
@@ -637,7 +646,6 @@ int Run(int argc, const char* const* argv) {
     return 0;
   }
 
-  const std::string runtime = flags.GetString("runtime", "sim");
   if (runtime == "threads" && flags.Has("monitor-crash-at") &&
       !flags.Has("monitor-recover-at")) {
     // A threaded run must finish: a never-recovering monitor would park
@@ -645,12 +653,6 @@ int Run(int argc, const char* const* argv) {
     std::fprintf(stderr,
                  "--monitor-crash-at with --runtime=threads requires "
                  "--monitor-recover-at\n");
-    return 2;
-  }
-  const std::int64_t shards = flags.GetInt("shards", 1);
-  const std::int64_t workers = flags.GetInt("workers", 0);
-  if (runtime != "threads" && (shards != 1 || workers != 0)) {
-    std::fprintf(stderr, "--shards/--workers require --runtime=threads\n");
     return 2;
   }
   if (runtime == "threads") {

@@ -65,6 +65,16 @@
 #                                          # for the shared engine protocol
 #                                          # core and its two runtime
 #                                          # adapters
+#   tools/run_ctest_matrix.sh asan-harness tsan-harness
+#                                          # focused entries: the asan/tsan
+#                                          # presets restricted to the
+#                                          # harness-labelled suites
+#                                          # (harness_test, slo_test,
+#                                          # controller_test) — the gate
+#                                          # for the shared run scaffold
+#                                          # (tsan covers the threaded
+#                                          # watchdog-tap mutex it routes
+#                                          # through)
 #   tools/run_ctest_matrix.sh asan-simcore
 #                                          # focused entry: the asan preset
 #                                          # restricted to the simcore-
@@ -145,6 +155,12 @@ for preset in "${PRESETS[@]}"; do
   elif [[ "$preset" == "tsan-engine" ]]; then
     config_preset=tsan
     ctest_args=(-L engine)
+  elif [[ "$preset" == "asan-harness" ]]; then
+    config_preset=asan
+    ctest_args=(-L harness)
+  elif [[ "$preset" == "tsan-harness" ]]; then
+    config_preset=tsan
+    ctest_args=(-L harness)
   elif [[ "$preset" == "asan-simcore" ]]; then
     config_preset=asan
     ctest_args=(-L simcore)
